@@ -4,17 +4,15 @@
  * the campaign engine around them:
  *
  *  1. raw interpreter speed — simulated instructions/second of the
- *     reference interpreter, the plan-based fast path, and the
- *     superblock trace tier on the same images (identical results,
- *     different wall-clock).  Two images bound the range: `perl`
- *     (memory-heavy, modest superblock coverage) and a straight-line
- *     ALU kernel (the trace tier's best case, and the shape the
- *     ROADMAP's >=3x target is defined over);
+ *     reference interpreter and the plan-based fast path on the same
+ *     images (identical results, different wall-clock).  Two images
+ *     bound the range: `perl` (memory-heavy) and a straight-line ALU
+ *     kernel;
  *  2. end-to-end campaign throughput — tasks/second of a fig3-style
  *     environment-size sweep across {artifact cache, sim tier} arms.
  *
- * The headline `speedup` compares the optimized engine (cache + trace
- * tier) against the pre-cache, pre-fast-path configuration (no cache +
+ * The headline `speedup` compares the optimized engine (cache + fast
+ * path) against the pre-cache, pre-fast-path configuration (no cache +
  * reference), i.e. the seed tree's behavior.  Human-readable progress
  * goes to stderr; stdout is exactly one JSON document, which
  * scripts/reproduce_all.sh captures as results/BENCH_sim.json.
@@ -32,16 +30,15 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "bench_args.hh"
 #include "campaign/engine.hh"
 #include "core/experiment.hh"
 #include "core/setup.hh"
 #include "isa/builder.hh"
+#include "pipeline/options.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
 #include "sim/registry.hh"
 #include "sim/replay.hh"
-#include "sim/trace.hh"
 #include "toolchain/artifacts.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
@@ -61,42 +58,35 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** The three implementations of Machine::run (sim/machine.hh). */
+/** The two implementations of Machine::run (sim/machine.hh). */
 enum class Tier
 {
     Reference,
     Fast,
-    Trace,
 };
 
-/** Per-image tier results plus the ratios scripts consume. */
+/** Per-image tier results plus the ratio scripts consume. */
 struct TierResult
 {
     double reference = 0.0;
     double fast = 0.0;
-    double trace = 0.0;
 };
 
 /**
- * Simulated instructions/second of all three tiers on one image.  The
+ * Simulated instructions/second of both tiers on one image.  The
  * tiers are timed *interleaved* within each round — reference, fast,
- * trace, repeat — so slow host-frequency drift hits every tier alike
- * and the reported ratios stay stable even when the absolute numbers
- * wander.  On a backend without trace support the third machine's
- * runs silently take the plain fast path (the declared fallback), so
- * its "trace" number measures exactly what a user would get.
+ * repeat — so slow host-frequency drift hits both alike and the
+ * reported ratio stays stable even when the absolute numbers wander.
  */
 TierResult
 measureTiers(const char *name, const sim::MachineConfig &mc,
              const toolchain::ProcessImage &image)
 {
-    std::array<sim::Machine, 3> machines = {
-        sim::Machine(mc),
+    std::array<sim::Machine, 2> machines = {
         sim::Machine(mc),
         sim::Machine(mc),
     };
     machines[0].setUseFastPath(false);
-    machines[1].setUseTracePath(false);
     double insts = 0.0;
     for (auto &machine : machines) {
         auto warm = machine.run(image);
@@ -104,7 +94,7 @@ measureTiers(const char *name, const sim::MachineConfig &mc,
         insts = double(warm.instructions());
     }
     constexpr int kRounds = 7, kReps = 6;
-    std::array<double, 3> best{};
+    std::array<double, 2> best{};
     for (int round = 0; round < kRounds; ++round) {
         for (std::size_t tier = 0; tier < machines.size(); ++tier) {
             const auto t0 = std::chrono::steady_clock::now();
@@ -118,12 +108,10 @@ measureTiers(const char *name, const sim::MachineConfig &mc,
     TierResult r;
     r.reference = best[0];
     r.fast = best[1];
-    r.trace = best[2];
     std::fprintf(stderr,
-                 "  %s: reference %.1f, fast %.1f, trace %.1f Mi/s "
-                 "(trace/fast %.2fx, trace/ref %.2fx)\n",
-                 name, r.reference / 1e6, r.fast / 1e6, r.trace / 1e6,
-                 r.trace / r.fast, r.trace / r.reference);
+                 "  %s: reference %.1f, fast %.1f Mi/s (fast/ref %.2fx)\n",
+                 name, r.reference / 1e6, r.fast / 1e6,
+                 r.fast / r.reference);
     return r;
 }
 
@@ -131,9 +119,6 @@ measureTiers(const char *name, const sim::MachineConfig &mc,
  * A straight-line-heavy kernel: a hot loop whose body is a long
  * unrolled ALU block — eight independent accumulator streams, the
  * shape loop unrolling actually produces — ending in one branch.
- * Almost every retired instruction sits inside one superblock, so
- * this is the shape the trace tier's >=3x-over-fast target is
- * measured on.
  */
 toolchain::ProcessImage
 straightLineImage()
@@ -281,18 +266,13 @@ struct ArmResult
 ArmResult
 campaignArm(bool cache_on, Tier tier, unsigned jobs)
 {
-    // The tier toggles are the same process-wide escape hatches users
+    // The tier toggle is the same process-wide escape hatch users
     // have: MBIAS_SIM_REFERENCE pins runs to the reference
-    // interpreter, MBIAS_SIM_TRACE=0 drops the trace tier back to the
-    // plain fast path; both are re-read on every run().
+    // interpreter, and is re-read on every run().
     if (tier == Tier::Reference)
         ::setenv("MBIAS_SIM_REFERENCE", "1", 1);
     else
         ::unsetenv("MBIAS_SIM_REFERENCE");
-    if (tier == Tier::Fast)
-        ::setenv("MBIAS_SIM_TRACE", "0", 1);
-    else
-        ::unsetenv("MBIAS_SIM_TRACE");
 
     std::vector<core::ExperimentSetup> setups;
     for (std::uint64_t env = 0; env <= 4096; env += 40) {
@@ -314,7 +294,6 @@ campaignArm(bool cache_on, Tier tier, unsigned jobs)
         // campaign (and the cache-off arm can't hit stale entries).
         toolchain::ArtifactCache::global().clear();
         sim::PlanCache::global().clear();
-        sim::TraceCache::global().clear();
         sim::ReplayCache::global().clear();
         // stats() counters are cumulative over the process; diff
         // around the run to attribute hits/misses to this round.
@@ -341,7 +320,6 @@ campaignArm(bool cache_on, Tier tier, unsigned jobs)
         }
     }
     ::unsetenv("MBIAS_SIM_REFERENCE");
-    ::unsetenv("MBIAS_SIM_TRACE");
     out.tasksPerSec = double(out.tasks) / out.wallSeconds;
     return out;
 }
@@ -360,12 +338,8 @@ printTiers(const char *name, const TierResult &r, bool comma)
     std::printf("      \"reference_insts_per_sec\": %.0f,\n",
                 r.reference);
     std::printf("      \"fast_insts_per_sec\": %.0f,\n", r.fast);
-    std::printf("      \"trace_insts_per_sec\": %.0f,\n", r.trace);
-    std::printf("      \"fast_vs_reference\": %.4f,\n",
+    std::printf("      \"fast_vs_reference\": %.4f\n",
                 r.fast / r.reference);
-    std::printf("      \"trace_vs_fast\": %.4f,\n", r.trace / r.fast);
-    std::printf("      \"trace_vs_reference\": %.4f\n",
-                r.trace / r.reference);
     std::printf("    }%s\n", comma ? "," : "");
 }
 
@@ -374,7 +348,8 @@ printTiers(const char *name, const TierResult &r, bool comma)
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = benchutil::jobsFromArgs(argc, argv);
+    const unsigned jobs =
+        pipeline::parsePipelineArgs(argc, argv).options.jobs;
 
     std::fprintf(stderr, "sim throughput microbench (jobs=%u)\n", jobs);
 
@@ -391,20 +366,9 @@ main(int argc, char **argv)
     const TierResult straight =
         measureTiers("straightline", sim::MachineConfig::core2Like(),
                      straightLineImage());
-    const auto traceStats = sim::TraceCache::global().stats();
-    std::fprintf(
-        stderr,
-        "  trace cache: %llu superblocks, %llu ops batched, %llu "
-        "interpreted, %llu fallbacks\n",
-        (unsigned long long)traceStats.superblocks,
-        (unsigned long long)traceStats.opsBatched,
-        (unsigned long long)traceStats.opsInterpreted,
-        (unsigned long long)traceStats.fallbacks);
 
-    // Part 1b: the same three tiers on every registered machine
-    // backend (perl image).  The in-order backend declares no trace
-    // support, so its trace-tier number is the asserted fast-path
-    // fallback — per-backend throughput is provenance for the
+    // Part 1b: both tiers on every registered machine backend (perl
+    // image) — per-backend throughput is provenance for the
     // conformance sweep, not a race between core models.
     std::vector<std::pair<const sim::MachineBackend *, TierResult>>
         backendTiers;
@@ -415,9 +379,9 @@ main(int argc, char **argv)
 
     // Part 1c: record-once / replay-many on the noisy-repetition
     // driver shape (reps >= 20).  Per-rep noisy execution always pays
-    // the reference interpreter; replay rides whatever tier is hot, so
-    // perl bounds the memory-heavy end and the straight-line kernel
-    // the superblock end (where the >=5x target lives).
+    // the reference interpreter; replay rides the fast loop, so perl
+    // bounds the memory-heavy end and the straight-line kernel the
+    // ALU-bound end.
     const NoisyRepResult noisyPerl =
         measureNoisyRepetition("perl", image);
     const NoisyRepResult noisyStraight =
@@ -425,12 +389,11 @@ main(int argc, char **argv)
 
     // Part 2: the campaign matrix.  Arms differ only in engine
     // plumbing, so their campaign results must agree exactly.
-    const ArmResult optimized = campaignArm(true, Tier::Trace, jobs);
-    const ArmResult cacheFast = campaignArm(true, Tier::Fast, jobs);
+    const ArmResult optimized = campaignArm(true, Tier::Fast, jobs);
     const ArmResult cacheRef = campaignArm(true, Tier::Reference, jobs);
     const ArmResult seedLike =
         campaignArm(false, Tier::Reference, jobs);
-    for (const ArmResult *arm : {&cacheFast, &cacheRef, &seedLike})
+    for (const ArmResult *arm : {&cacheRef, &seedLike})
         mbias_assert(arm->sumSpeedup == optimized.sumSpeedup &&
                          arm->tasks == optimized.tasks,
                      "campaign results must not depend on cache or "
@@ -439,7 +402,7 @@ main(int argc, char **argv)
     const double speedup =
         optimized.tasksPerSec / seedLike.tasksPerSec;
     std::fprintf(stderr,
-                 "  campaign: cache+trace %.1f tasks/s, seed-like %.1f "
+                 "  campaign: cache+fast %.1f tasks/s, seed-like %.1f "
                  "tasks/s -> speedup %.2fx\n",
                  optimized.tasksPerSec, seedLike.tasksPerSec, speedup);
 
@@ -448,13 +411,7 @@ main(int argc, char **argv)
     std::printf("  \"jobs\": %u,\n", jobs);
     std::printf("  \"interpreter\": {\n");
     printTiers("perl", perl, true);
-    printTiers("straightline", straight, true);
-    std::printf("    \"trace_ops_batched\": %llu,\n",
-                (unsigned long long)traceStats.opsBatched);
-    std::printf("    \"trace_ops_interpreted\": %llu,\n",
-                (unsigned long long)traceStats.opsInterpreted);
-    std::printf("    \"trace_fallbacks\": %llu\n",
-                (unsigned long long)traceStats.fallbacks);
+    printTiers("straightline", straight, false);
     std::printf("  },\n");
     std::printf("  \"backends\": {\n");
     for (std::size_t i = 0; i < backendTiers.size(); ++i) {
@@ -462,13 +419,9 @@ main(int argc, char **argv)
         std::printf("    \"%s\": {\n", backend->config.name.c_str());
         std::printf("      \"core_model\": \"%s\",\n",
                     backend->coreModel.c_str());
-        std::printf("      \"trace_supported\": %s,\n",
-                    backend->tiers.trace ? "true" : "false");
         std::printf("      \"reference_insts_per_sec\": %.0f,\n",
                     tiers.reference);
         std::printf("      \"fast_insts_per_sec\": %.0f,\n", tiers.fast);
-        std::printf("      \"trace_insts_per_sec\": %.0f,\n",
-                    tiers.trace);
         std::printf("      \"fast_vs_reference\": %.4f\n",
                     tiers.fast / tiers.reference);
         std::printf("    }%s\n",
@@ -505,8 +458,7 @@ main(int argc, char **argv)
                     name, r.tasksPerSec, r.wallSeconds,
                     comma ? "," : "");
     };
-    arm("cache_trace", optimized, true);
-    arm("cache_fast", cacheFast, true);
+    arm("cache_fast", optimized, true);
     arm("cache_reference", cacheRef, true);
     arm("nocache_reference", seedLike, true);
     std::printf("    \"cache_hit_rates\": {\"compile\": %.4f, "

@@ -36,10 +36,10 @@ for f in results/BENCH_*.json; do
     [ "$base" = "BENCH_trajectory.json" ] && continue
     summary="$(jq '{speedup: (.speedup? // null)}
         + (if .interpreter? then {
-            perl_trace_vs_reference:
-                .interpreter.perl.trace_vs_reference,
-            straightline_trace_vs_reference:
-                .interpreter.straightline.trace_vs_reference
+            perl_fast_vs_reference:
+                .interpreter.perl.fast_vs_reference,
+            straightline_fast_vs_reference:
+                .interpreter.straightline.fast_vs_reference
           } else {} end)
         + (if .noisy_repetition? then {
             noisy_repetition_speedups:

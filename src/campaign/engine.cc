@@ -12,12 +12,11 @@
 #include "base/logging.hh"
 #include "base/seeding.hh"
 #include "campaign/store.hh"
-#include "campaign/threadpool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "parallel/pool.hh"
 #include "sim/plan.hh"
 #include "sim/replay.hh"
-#include "sim/trace.hh"
 #include "toolchain/artifacts.hh"
 
 namespace mbias::campaign
@@ -259,11 +258,10 @@ CampaignEngine::run()
         toolchain::ArtifactCache::global();
     if (opts_.artifactCache)
         artifacts.attachMetrics(&metrics);
-    // The simulator's plan/trace/replay caches mirror their counters
-    // the same way (sim.plan.*, sim.trace.*, sim.replay.*) regardless
-    // of the artifact cache.
+    // The simulator's plan/replay caches mirror their counters the
+    // same way (sim.plan.*, sim.replay.*) regardless of the artifact
+    // cache.
     sim::PlanCache::global().attachMetrics(&metrics);
-    sim::TraceCache::global().attachMetrics(&metrics);
     sim::ReplayCache::global().attachMetrics(&metrics);
     // The caches are process-global and the registry is per-run:
     // detach on every exit path, before the registry dies.
@@ -275,12 +273,11 @@ CampaignEngine::run()
             if (cache)
                 cache->attachMetrics(nullptr);
             sim::PlanCache::global().attachMetrics(nullptr);
-            sim::TraceCache::global().attachMetrics(nullptr);
             sim::ReplayCache::global().attachMetrics(nullptr);
         }
     } detachMetrics{opts_.artifactCache ? &artifacts : nullptr};
 
-    ThreadPool pool(opts_.jobs, &metrics);
+    parallel::ThreadPool pool(opts_.jobs, &metrics);
     ResultCache cache(&metrics);
     std::vector<core::RunOutcome> results(tasks.size());
     // One runner per worker: with the shared artifact cache runners

@@ -6,7 +6,6 @@
 #include "obs/trace.hh"
 #include "sim/plan.hh"
 #include "sim/replay.hh"
-#include "sim/trace.hh"
 
 #include <algorithm>
 #include <cstdlib>
@@ -42,23 +41,6 @@ referenceForcedByEnv()
 
 namespace
 {
-
-/** MBIAS_SIM_REFERENCE=1 pins every run to the reference interpreter
- *  (re-read per run, so one process can compare both paths). */
-bool
-referenceForced()
-{
-    return referenceForcedByEnv();
-}
-
-/** MBIAS_SIM_TRACE=0 drops fast-path-eligible runs back to runFast
- *  (re-read per run, so one process can compare all three tiers). */
-bool
-traceDisabledByEnv()
-{
-    const char *e = std::getenv("MBIAS_SIM_TRACE");
-    return e && e[0] == '0' && e[1] == '\0';
-}
 
 /**
  * CoreModel policies for runPlanImpl's `if constexpr` points.  The
@@ -137,23 +119,6 @@ struct ShadowCache
         return false;
     }
 
-    /** Read-only residency probe: would access(@p addr) hit right
-     *  now?  No LRU update, so probing leaves the model state
-     *  untouched (the trace tier's noise guard uses this to bound a
-     *  block's penalty without committing to running it). */
-    bool contains(Addr addr) const
-    {
-        const std::uint64_t tag = addr >> shift;
-        const std::uint64_t key = (tag << 1) | 1;
-        const std::uint64_t *base =
-            slots.data() + std::size_t(tag & setMask) * ways;
-        for (unsigned w = 0; w < ways; ++w) {
-            if (base[w] == key)
-                return true;
-        }
-        return false;
-    }
-
     /** Twin of uarch::Cache::invalidateSet: clearing valid bits there
      *  is observationally identical to zeroing the packed slots here —
      *  a stale tag can never hit again, and invalid ways shift through
@@ -205,68 +170,21 @@ struct ShadowTlb
             ++miss_count;
         return miss_count;
     }
-
-    /** Read-only residency probe (no LRU update), the ShadowCache
-     *  contains() counterpart. */
-    bool contains(std::uint64_t vpn) const
-    {
-        const std::uint64_t key = (vpn << 1) | 1;
-        for (unsigned e = 0; e < entries; ++e) {
-            if (slots[e] == key)
-                return true;
-        }
-        return false;
-    }
-
-    bool containsVpns(std::uint64_t first_vpn,
-                      std::uint64_t last_vpn) const
-    {
-        return contains(first_vpn) &&
-               (last_vpn == first_vpn || contains(last_vpn));
-    }
 };
 
 } // namespace
 
-bool
-traceTierUsable(const Machine &machine)
-{
-#if !MBIAS_SIM_TRACE_ENABLED
-    (void)machine;
-    return false;
-#else
-    return machine.useFastPath() && machine.useTracePath() &&
-           machine.tierSupport().trace && !traceDisabledByEnv() &&
-           !referenceForced();
-#endif
-}
-
 std::string
 activeSimTierDescription()
 {
-    // Replay provenance rides along as a suffix: it serves repetition
-    // families on top of whichever tier single runs take.
-    std::string replay;
-#if !MBIAS_SIM_REPLAY_ENABLED
-    replay = " (replay: -DMBIAS_SIM_REPLAY=OFF)";
-#else
-    if (replayDisabledByEnv())
-        replay = " (replay: MBIAS_SIM_REPLAY=0)";
-    else
-        replay = " + replay";
-#endif
 #if !MBIAS_SIM_FASTPATH_ENABLED
     return "reference (-DMBIAS_SIM_FASTPATH=OFF)";
 #else
-    if (referenceForced())
+    if (referenceForcedByEnv())
         return "reference (MBIAS_SIM_REFERENCE set)";
-#if !MBIAS_SIM_TRACE_ENABLED
-    return "fast (-DMBIAS_SIM_TRACE=OFF)" + replay;
-#else
-    if (traceDisabledByEnv())
-        return "fast (MBIAS_SIM_TRACE=0)" + replay;
-    return "trace" + replay;
-#endif
+    if (replayDisabledByEnv())
+        return "fast (replay: MBIAS_SIM_REPLAY=0)";
+    return "fast + replay";
 #endif
 }
 
@@ -290,7 +208,6 @@ struct Machine::Pipeline
 
 Machine::Machine(const MachineConfig &config)
     : config_(config),
-      tiers_(MachineRegistry::tiersFor(config)),
       icache_(config.icache),
       dcache_(config.dcache),
       l2_(config.l2),
@@ -458,19 +375,14 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
              Attribution *attribution)
 {
 #if MBIAS_SIM_FASTPATH_ENABLED
-    // The fast tiers handle the common campaign case: deterministic,
+    // The fast tier handles the common campaign case: deterministic,
     // unprofiled runs.  Noise injection, per-function profiling, and
     // per-set attribution read per-instruction state the fast lanes
     // skip, so those runs stay on the reference interpreter.
-    if (useFastPath_ && tiers_.fast && !noise.active() && !profile &&
-        !attribution && !referenceForced()) {
-        const auto plan = PlanCache::global().get(image.program);
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this))
-            return runTrace(image, max_insts, plan);
-#endif
-        return runFast(image, max_insts, *plan);
-    }
+    if (useFastPath_ && !noise.active() && !profile && !attribution &&
+        !referenceForcedByEnv())
+        return runFast(image, max_insts,
+                       *PlanCache::global().get(image.program));
 #endif
 
     // Noise invalidations bypass the attribution occupancy mirror;
@@ -946,28 +858,10 @@ Machine::runFast(const toolchain::ProcessImage &image,
                  std::uint64_t max_insts, const ExecutionPlan &plan)
 {
     if (config_.core == CoreKind::InOrder)
-        return runPlanImpl<false, RunMode::Normal, InOrderCore>(
-            image, max_insts, plan, nullptr, NoiseModel::none(), nullptr,
-            nullptr);
-    return runPlanImpl<false, RunMode::Normal, OooCore>(
-        image, max_insts, plan, nullptr, NoiseModel::none(), nullptr,
-        nullptr);
-}
-
-RunResult
-Machine::runTrace(const toolchain::ProcessImage &image,
-                  std::uint64_t max_insts,
-                  const std::shared_ptr<const ExecutionPlan> &plan)
-{
-    // The trace tier's batch guards assume the OoO window model;
-    // traceTierUsable() keeps in-order backends off this path.
-    mbias_assert(config_.core == CoreKind::OutOfOrder,
-                 "trace tier requires an out-of-order core model");
-    const auto tplan =
-        TraceCache::global().get(plan, TraceGeometry::of(config_));
-    return runPlanImpl<true, RunMode::Normal, OooCore>(
-        image, max_insts, *plan, tplan.get(), NoiseModel::none(), nullptr,
-        nullptr);
+        return runPlanImpl<RunMode::Normal, InOrderCore>(
+            image, max_insts, plan, NoiseModel::none(), nullptr, nullptr);
+    return runPlanImpl<RunMode::Normal, OooCore>(
+        image, max_insts, plan, NoiseModel::none(), nullptr, nullptr);
 }
 
 RunResult
@@ -977,7 +871,6 @@ Machine::runRecord(const toolchain::ProcessImage &image,
 {
     mbias_assert(out, "runRecord needs a trace sink");
     *out = nullptr;
-#if MBIAS_SIM_REPLAY_ENABLED
     if (replayTierUsable(*this)) {
         obs::ScopedSpan span("replay-record", "sim");
         const auto plan = PlanCache::global().get(image.program);
@@ -990,29 +883,17 @@ Machine::runRecord(const toolchain::ProcessImage &image,
         trace->recordedSp = image.initialSp;
         trace->stackBoundary = image.stackTop >> 1;
         RunResult rr;
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this)) {
-            const auto tplan =
-                TraceCache::global().get(plan, TraceGeometry::of(config_));
-            rr = runPlanImpl<true, RunMode::Record, OooCore>(
-                image, max_insts, *plan, tplan.get(), noise, trace.get(),
-                nullptr);
-        } else
-#endif
         if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<false, RunMode::Record, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, trace.get(),
-                nullptr);
+            rr = runPlanImpl<RunMode::Record, InOrderCore>(
+                image, max_insts, *plan, noise, trace.get(), nullptr);
         else
-            rr = runPlanImpl<false, RunMode::Record, OooCore>(
-                image, max_insts, *plan, nullptr, noise, trace.get(),
-                nullptr);
+            rr = runPlanImpl<RunMode::Record, OooCore>(
+                image, max_insts, *plan, noise, trace.get(), nullptr);
         ReplayCache::global().noteRecord();
         if (!trace->aborted)
             *out = std::move(trace);
         return rr;
     }
-#endif
     return run(image, max_insts, noise);
 }
 
@@ -1021,47 +902,30 @@ Machine::runReplay(const toolchain::ProcessImage &image,
                    std::uint64_t max_insts, const NoiseModel &noise,
                    const FunctionalTrace &trace)
 {
-#if MBIAS_SIM_REPLAY_ENABLED
     if (replayTierUsable(*this)) {
         mbias_assert(trace.matches(image, max_insts),
                      "replaying a trace against a mismatched image");
         const auto plan = PlanCache::global().get(image.program);
         RunResult rr;
-#if MBIAS_SIM_TRACE_ENABLED
-        if (traceTierUsable(*this)) {
-            const auto tplan =
-                TraceCache::global().get(plan, TraceGeometry::of(config_));
-            rr = runPlanImpl<true, RunMode::Replay, OooCore>(
-                image, max_insts, *plan, tplan.get(), noise, nullptr,
-                &trace);
-        } else
-#endif
         if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<false, RunMode::Replay, InOrderCore>(
-                image, max_insts, *plan, nullptr, noise, nullptr, &trace);
+            rr = runPlanImpl<RunMode::Replay, InOrderCore>(
+                image, max_insts, *plan, noise, nullptr, &trace);
         else
-            rr = runPlanImpl<false, RunMode::Replay, OooCore>(
-                image, max_insts, *plan, nullptr, noise, nullptr, &trace);
+            rr = runPlanImpl<RunMode::Replay, OooCore>(
+                image, max_insts, *plan, noise, nullptr, &trace);
         ReplayCache::global().noteReplay();
         return rr;
     }
-#endif
-    (void)trace;
     return run(image, max_insts, noise);
 }
 
-template <bool Traced, Machine::RunMode Mode, class Core>
+template <Machine::RunMode Mode, class Core>
 RunResult
 Machine::runPlanImpl(const toolchain::ProcessImage &image,
                      std::uint64_t max_insts, const ExecutionPlan &plan,
-                     const TracePlan *tplan, const NoiseModel &noise,
-                     FunctionalTrace *rec, const FunctionalTrace *rep)
+                     const NoiseModel &noise, FunctionalTrace *rec,
+                     const FunctionalTrace *rep)
 {
-    // The trace tier's op_batch guards prove "zero stall cycles" under
-    // the OoO hiding model; an in-order instantiation would make that
-    // proof unsound, so it is never generated (traceTierUsable()).
-    static_assert(!(Traced && Core::kInOrder),
-                  "the trace tier assumes the OoO core model");
     // The contract of this function is bitwise equality with the
     // reference interpreter above (noise disabled, no profile): it
     // performs the same component accesses in the same order with the
@@ -1078,12 +942,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     //    calls, and hot config fields hoisted into locals;
     //  - functional memory through a small direct-mapped table of page
     //    pointers instead of a hash lookup per access.
-    //
-    // With Traced = true the loop walks the TracePlan's rewritten op
-    // array instead: superblock heads dispatch to op_batch, which
-    // either applies the block's precomputed effects in one step or —
-    // when its zero-stall guards cannot be proven — falls through to
-    // per-op execution of the very same ops (sim/trace.hh).
     //
     // Mode extends the same loop to the record/replay tier
     // (sim/replay.hh).  Record runs normally (noise allowed — the
@@ -1114,9 +972,6 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     mbias_assert(!prog.code.empty(), "empty program");
     mbias_assert(plan.ops.size() == prog.code.size(),
                  "execution plan does not match the program");
-    if constexpr (Traced)
-        mbias_assert(tplan && tplan->ops.size() == plan.ops.size(),
-                     "trace plan does not match the program");
 
     RunResult rr;
     PerfCounters &ctrs = rr.counters;
@@ -1667,25 +1522,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         return rp_ret_data[rp_ret++];
     };
 
-    // The traced tier walks the TracePlan's rewritten op array; both
-    // arrays decode the same program, only the dispatch tags of
-    // superblock heads differ.
-    const DecodedOp *const ops =
-        Traced ? tplan->ops.data() : plan.ops.data();
-
-    // Trace-tier tallies and replay scratch (unused on the fast tier):
-    // tr_pens collects (position, penalty) pairs of replayed icache /
-    // ITLB misses inside the current batch, so exit register-ready
-    // times can include the penalties charged at or before each
-    // register's last write.  The per-batch cursors live here — not in
-    // the handler — because locals declared between computed-goto
-    // labels defeat the compiler's initialization analysis.
-    std::uint64_t tr_batched = 0, tr_fallbacks = 0;
-    std::vector<std::pair<std::uint32_t, Cycles>> tr_pens;
-    const TraceBlock *tb = nullptr;
-    Cycles tr_now0 = 0;      ///< pipe.now at batch entry
-    std::uint32_t tr_srow = 0; ///< fetch-row index (entry groupSlots)
-    const TraceBlock::FnOp *fp = nullptr, *fe = nullptr;
+    const DecodedOp *const ops = plan.ops.data();
 
     std::uint64_t icount = 0;
     std::uint32_t idx = image.entryIdx;
@@ -1734,10 +1571,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     };
 
     // Handler addresses indexed by Opcode value; order must match the
-    // enum exactly (plan.cc validated every op at build time).  One
-    // extra slot handles the trace tier's batch pseudo-opcode — only
-    // a TracePlan's rewritten array ever carries it, so the fast tier
-    // pays nothing for the entry.
+    // enum exactly (plan.cc validated every op at build time).
     static const void *const kDispatch[] = {
         &&op_add, &&op_sub, &&op_mul, &&op_divu, &&op_remu, &&op_and,
         &&op_or, &&op_xor, &&op_sll, &&op_srl, &&op_sra, &&op_slt,
@@ -1745,10 +1579,10 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         &&op_srli, &&op_srai, &&op_slti, &&op_li, &&op_la, &&op_ld,
         &&op_ld, &&op_ld, &&op_ld, &&op_st, &&op_st, &&op_st, &&op_st,
         &&op_beq, &&op_bne, &&op_blt, &&op_bge, &&op_bltu, &&op_bgeu,
-        &&op_jmp, &&op_call, &&op_ret, &&op_nop, &&op_halt, &&op_batch,
+        &&op_jmp, &&op_call, &&op_ret, &&op_nop, &&op_halt,
     };
     static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
-                      std::size_t(Opcode::NumOpcodes) + 1,
+                      std::size_t(Opcode::NumOpcodes),
                   "dispatch table out of sync with the opcode enum");
 
 // One budget check + fetch + threaded jump between every pair of
@@ -2088,261 +1922,9 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
   op_la:
     mbias_panic("unresolved La reached the simulator");
 
-  op_batch:
-    if constexpr (!Traced) {
-        mbias_panic("batch pseudo-op reached the fast tier");
-    } else {
-        tb = &tplan->blocks[d->targetIdx];
-
-        // Guards: commit only when the per-op walk provably charges
-        // zero stall cycles and runs to the block's end —
-        //  (1) the instruction budget covers all len ops (the head is
-        //      already counted by the dispatch that got us here);
-        //  (2) every in-block producer read in-block has its latency
-        //      hidden by the OoO window;
-        //  (3) every live-in register is ready within the window at
-        //      entry (now only grows, so the exposed stall at any
-        //      later read is bounded by its slack here).
-        Cycles max_lat = 0;
-        if (tb->latClassMask & 1)
-            max_lat = 1;
-        if (tb->latClassMask & 2)
-            max_lat = std::max(max_lat, mul_lat);
-        if (tb->latClassMask & 4)
-            max_lat = std::max(max_lat, div_lat);
-        bool batch_ok =
-            icount + tb->len - 1 <= max_insts && max_lat <= ooo_window;
-        if (batch_ok) {
-            const Cycles limit = pipe.now + ooo_window;
-            std::uint32_t m = tb->liveInMask;
-            while (m) {
-                const unsigned r = unsigned(std::countr_zero(m));
-                m &= m - 1;
-                if (pipe.regReady[r] > limit) {
-                    batch_ok = false;
-                    break;
-                }
-            }
-        }
-        if ((noise_on || dvfs_on) && batch_ok) {
-            // (4) no OS interrupt or DVFS step can fire inside the
-            // block: bound the batch's cycle advance from above (entry
-            // fetch row plus every line/page touch missing) — now only
-            // grows through the per-op walk and the guards above prove
-            // zero stalls, so if even the bound stays short of the
-            // next event, no mid-block dispatch could have fired it,
-            // and the post-block dispatch re-checks with identical
-            // state.
-            const Cycles next_event =
-                std::min(noise_on ? next_interrupt : ~Cycles(0),
-                         dvfs_on ? next_dvfs : ~Cycles(0));
-            const Cycles exit_base =
-                pipe.now + tb->rows[pipe.groupSlots].groups;
-            Cycles pen_ub =
-                Cycles(tb->lines.size()) * (i_miss_pen + l2_miss_pen) +
-                Cycles(2 * tb->pages.size()) * itlb_miss_pen;
-            if (exit_base + pen_ub >= next_event) {
-                // Near the interrupt the all-miss bound refuses almost
-                // every block; tighten it with a read-only residency
-                // probe.  If every block line (page) is resident right
-                // now, the walk inserts nothing into that structure,
-                // so nothing is evicted and — by induction over the
-                // block's accesses — every one hits: that structure's
-                // true penalty is exactly zero.  Any probe miss keeps
-                // the pessimistic term (an insertion can cascade
-                // evictions within the block).
-                pen_ub = 0;
-                for (const auto &lt : tb->lines) {
-                    if (!s_icache.contains(lt.line)) {
-                        pen_ub += Cycles(tb->lines.size()) *
-                                  (i_miss_pen + l2_miss_pen);
-                        break;
-                    }
-                }
-                for (const auto &pt : tb->pages) {
-                    if (!s_itlb.containsVpns(pt.firstVpn, pt.lastVpn)) {
-                        pen_ub += Cycles(2 * tb->pages.size()) *
-                                  itlb_miss_pen;
-                        break;
-                    }
-                }
-                if (exit_base + pen_ub >= next_event)
-                    batch_ok = false;
-            }
-        }
-        if (__builtin_expect(!batch_ok, 0)) {
-            // Fall back before any state was touched: dispatch the
-            // original head per-op; execution then walks the run
-            // instruction by instruction, exactly like the fast tier.
-            ++tr_fallbacks;
-            d = &tb->headOp;
-            goto *kDispatch[std::size_t(d->op)];
-        }
-
-        tr_now0 = pipe.now;
-        tr_srow = pipe.groupSlots;
-
-        // Replay the block's icache-line and ITLB-page crossings
-        // against the shadow structures (same accesses in the same
-        // order as the per-op walk; the two structures never
-        // interleave observably).  Misses keep their op position so
-        // exit regReady times below can include them.
-        tr_pens.clear();
-        Cycles pen = 0;
-        for (const auto &lt : tb->lines) {
-            if (!s_icache.access(lt.line)) {
-                ctrs.inc(Counter::IcacheMisses);
-                Cycles p = i_miss_pen;
-                if (!s_l2.access(lt.line)) {
-                    ctrs.inc(Counter::L2Misses);
-                    p += l2_miss_pen;
-                }
-                pen += p;
-                tr_pens.emplace_back(lt.pos, p);
-            }
-        }
-        if (!tb->lines.empty())
-            pipe.lastCodeLine = tb->lines.back().line;
-        for (const auto &pt : tb->pages) {
-            const unsigned misses =
-                s_itlb.accessVpns(pt.firstVpn, pt.lastVpn);
-            if (misses) {
-                ctrs.inc(Counter::ItlbMisses, misses);
-                const Cycles p = misses * itlb_miss_pen;
-                pen += p;
-                tr_pens.emplace_back(pt.pos, p);
-            }
-        }
-        if (!tb->pages.empty())
-            pipe.lastCodePage = tb->pages.back().firstVpn;
-
-        // One fused cycle/counter delta for ops 1..len-1.
-        const TraceBlock::FetchRow &row = tb->rows[tr_srow];
-        pipe.now = tr_now0 + row.groups + pen;
-        ctrs.inc(Counter::FetchGroups, row.groups);
-        pipe.groupSlots = row.exitSlots;
-        pipe.groupBlockEnd = row.exitBlockEnd;
-        if (tb->nopCount)
-            ctrs.inc(Counter::NopsExecuted, tb->nopCount);
-        icount += tb->len - 1;
-        tr_batched += tb->len;
-
-        // One register-dataflow step: the same arithmetic the per-op
-        // handlers do, minus dispatch, fetch and timing bookkeeping.
-        // Direct-threaded like the outer interpreter — each fn handler
-        // jumps straight to the next op's handler, so the loop costs
-        // one (well-predicted) indirect branch per op instead of a
-        // switch dispatch plus a back edge.  FnOp opcodes are the
-        // first 22 enumerators, validated by TracePlan::build; there
-        // is no range backstop, matching the outer dispatch table.
-        // Replay skips the dataflow step wholesale: batched ops are
-        // value-producing ALU only, and replay never reads a value.
-        // The rows/lines/pages/writes bookkeeping above is address-
-        // derived and already applied.  (Plain if, not constexpr —
-        // the computed-goto labels inside must exist in every
-        // instantiation.)
-        if (!kReplay) {
-            static_assert(std::size_t(Opcode::Li) == 21,
-                          "fn dispatch assumes Add..Li are dense");
-            static const void *const kFn[] = {
-                &&fn_add, &&fn_sub, &&fn_mul, &&fn_divu, &&fn_remu,
-                &&fn_and, &&fn_or, &&fn_xor, &&fn_sll, &&fn_srl,
-                &&fn_sra, &&fn_slt, &&fn_sltu, &&fn_addi, &&fn_andi,
-                &&fn_ori, &&fn_xori, &&fn_slli, &&fn_srli, &&fn_srai,
-                &&fn_slti, &&fn_li,
-            };
-            static_assert(sizeof(kFn) / sizeof(kFn[0]) ==
-                              std::size_t(Opcode::Li) + 1,
-                          "one fn handler per value-producing op");
-            fp = tb->fnOps.data();
-            fe = fp + tb->fnOps.size();
-            if (fp == fe)
-                goto fn_done;
-            goto *kFn[std::size_t(fp->op)];
-
-#define MBIAS_FN(label, expr)                                           \
-  label:                                                                \
-    regs[fp->rd] = (expr);                                              \
-    if (++fp == fe)                                                     \
-        goto fn_done;                                                   \
-    goto *kFn[std::size_t(fp->op)];
-
-            MBIAS_FN(fn_add, regs[fp->rs1] + regs[fp->rs2])
-            MBIAS_FN(fn_sub, regs[fp->rs1] - regs[fp->rs2])
-            MBIAS_FN(fn_mul, regs[fp->rs1] * regs[fp->rs2])
-          fn_divu: {
-            const std::uint64_t bv = regs[fp->rs2];
-            regs[fp->rd] =
-                bv == 0 ? ~std::uint64_t(0) : regs[fp->rs1] / bv;
-            if (++fp == fe)
-                goto fn_done;
-            goto *kFn[std::size_t(fp->op)];
-          }
-          fn_remu: {
-            const std::uint64_t bv = regs[fp->rs2];
-            regs[fp->rd] = bv == 0 ? regs[fp->rs1] : regs[fp->rs1] % bv;
-            if (++fp == fe)
-                goto fn_done;
-            goto *kFn[std::size_t(fp->op)];
-          }
-            MBIAS_FN(fn_and, regs[fp->rs1] & regs[fp->rs2])
-            MBIAS_FN(fn_or, regs[fp->rs1] | regs[fp->rs2])
-            MBIAS_FN(fn_xor, regs[fp->rs1] ^ regs[fp->rs2])
-            MBIAS_FN(fn_sll, regs[fp->rs1] << (regs[fp->rs2] & 63))
-            MBIAS_FN(fn_srl, regs[fp->rs1] >> (regs[fp->rs2] & 63))
-            MBIAS_FN(fn_sra,
-                     std::uint64_t(std::int64_t(regs[fp->rs1]) >>
-                                   (regs[fp->rs2] & 63)))
-            MBIAS_FN(fn_slt, std::int64_t(regs[fp->rs1]) <
-                                     std::int64_t(regs[fp->rs2])
-                                 ? 1
-                                 : 0)
-            MBIAS_FN(fn_sltu, regs[fp->rs1] < regs[fp->rs2] ? 1 : 0)
-            MBIAS_FN(fn_addi, regs[fp->rs1] + std::uint64_t(fp->imm))
-            MBIAS_FN(fn_andi, regs[fp->rs1] & std::uint64_t(fp->imm))
-            MBIAS_FN(fn_ori, regs[fp->rs1] | std::uint64_t(fp->imm))
-            MBIAS_FN(fn_xori, regs[fp->rs1] ^ std::uint64_t(fp->imm))
-            MBIAS_FN(fn_slli,
-                     regs[fp->rs1] << (std::uint64_t(fp->imm) & 63))
-            MBIAS_FN(fn_srli,
-                     regs[fp->rs1] >> (std::uint64_t(fp->imm) & 63))
-            MBIAS_FN(fn_srai,
-                     std::uint64_t(std::int64_t(regs[fp->rs1]) >>
-                                   (std::uint64_t(fp->imm) & 63)))
-            MBIAS_FN(fn_slti,
-                     std::int64_t(regs[fp->rs1]) < fp->imm ? 1 : 0)
-            MBIAS_FN(fn_li, std::uint64_t(fp->imm))
-#undef MBIAS_FN
-        }
-      fn_done:;
-
-        // Exit readiness of every written register: issue cycle of
-        // its last write (entry time + groups opened up to it + miss
-        // penalties charged at or before it) plus its latency.
-        const std::size_t wn = tb->writes.size();
-        const std::size_t width = tb->rows.size();
-        for (std::size_t w = 0; w < wn; ++w) {
-            const TraceBlock::RegWrite &rw = tb->writes[w];
-            Cycles at = tr_now0 + tb->writeGroups[w * width + tr_srow];
-            for (const auto &pr : tr_pens)
-                if (pr.first <= rw.pos)
-                    at += pr.second;
-            const Cycles lat = rw.latClass == 0 ? 1
-                               : rw.latClass == 1 ? mul_lat
-                                                  : div_lat;
-            pipe.regReady[rw.reg] = at + lat;
-        }
-
-        idx += tb->len;
-        MBIAS_DISPATCH();
-    }
-
 #undef MBIAS_DISPATCH
 
   run_done:
-    if constexpr (Traced)
-        TraceCache::global().recordRun(tr_batched, icount - tr_batched,
-                                       tr_fallbacks);
     if (kRecord) {
         if (rec_nbits && rec_ok)
             ft_rec->branchBits.push_back(rec_bits); // flush partial word

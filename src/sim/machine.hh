@@ -10,7 +10,6 @@
 #include "sim/noise.hh"
 #include "sim/profile.hh"
 #include "sim/memory.hh"
-#include "sim/registry.hh"
 #include "toolchain/loader.hh"
 #include "uarch/branch.hh"
 #include "uarch/cache.hh"
@@ -21,15 +20,15 @@ namespace mbias::sim
 {
 
 struct ExecutionPlan;   // sim/plan.hh
-struct TracePlan;       // sim/trace.hh
 struct Attribution;     // sim/attribution.hh
 struct FunctionalTrace; // sim/replay.hh
 
 /**
  * Human-readable description of the sim tier run() would pick for a
  * plain deterministic run right now — build flags and environment
- * escape hatches folded in (e.g. "trace", or "fast (MBIAS_SIM_TRACE=0)",
- * or "reference (-DMBIAS_SIM_FASTPATH=OFF)").  Recorded by `mbias
+ * escape hatches folded in (e.g. "fast + replay", or
+ * "fast (replay: MBIAS_SIM_REPLAY=0)", or
+ * "reference (-DMBIAS_SIM_FASTPATH=OFF)").  Recorded by `mbias
  * list`/`mbias workloads` so provenance explains perf deltas between
  * hosts.
  */
@@ -38,20 +37,6 @@ std::string activeSimTierDescription();
 /** True when MBIAS_SIM_REFERENCE forces the reference interpreter for
  *  this process (re-read per run). */
 bool referenceForcedByEnv();
-
-class Machine;
-
-/**
- * True when every switch between here and the hardware allows the
- * superblock trace tier for @p machine: built in (-DMBIAS_SIM_TRACE=ON
- * over an enabled fast path), not vetoed by MBIAS_SIM_TRACE=0 or
- * MBIAS_SIM_REFERENCE, the machine's own fast/trace toggles on, *and*
- * the machine's backend declares trace support (MachineRegistry) — the
- * tier's batch guards assume the OoO window model, so in-order cores
- * fall back to the plain fast path.  The replay tier's
- * precondition-fallback pattern (replayTierUsable), applied to trace.
- */
-bool traceTierUsable(const Machine &machine);
 
 /** Outcome of one simulated program run. */
 struct RunResult
@@ -92,29 +77,26 @@ struct RunResult
  * Determinism: given the same ProcessImage and config, run() returns
  * bit-identical results.  All components start cold on each run().
  *
- * Three tiers implement run().  The *reference* interpreter walks the
+ * Two tiers implement run().  The *reference* interpreter walks the
  * linker's PlacedInst records directly; the *fast path* walks a
- * cached ExecutionPlan (sim/plan.hh) — dense pre-decoded operands, a
- * straight-line lane for simple runs, an O(1) return-address table —
+ * cached ExecutionPlan (sim/plan.hh) — dense pre-decoded operands and
+ * an O(1) return-address table —
  * performing the identical component accesses in the identical order,
- * so its RunResult is bitwise equal by construction.  The *trace
- * tier* (sim/trace.hh) runs the fast loop over a TracePlan whose hot
- * superblocks apply pre-batched effects in one step, guarded so the
- * result stays bitwise equal.  Fast tiers are taken only for
- * noise-free, unprofiled runs; they can be disabled per machine
- * (setUseFastPath(false) / setUseTracePath(false)), per process
- * (MBIAS_SIM_REFERENCE=1 / MBIAS_SIM_TRACE=0 in the environment), or
- * at build time (-DMBIAS_SIM_FASTPATH=OFF / -DMBIAS_SIM_TRACE=OFF).
+ * so its RunResult is bitwise equal by construction.  The fast path
+ * is taken only for noise-free, unprofiled runs; it can be disabled
+ * per machine (setUseFastPath(false)), per process
+ * (MBIAS_SIM_REFERENCE=1 in the environment), or at build time
+ * (-DMBIAS_SIM_FASTPATH=OFF).
  *
- * A fourth tier, *record/replay* (sim/replay.hh), serves repetition
- * families: runRecord() executes one instrumented fast/trace-tier run
+ * A third tier, *record/replay* (sim/replay.hh), serves repetition
+ * families: runRecord() executes one instrumented fast-tier run
  * (noise allowed — the functional stream is noise-independent) that
  * captures branch outcomes, return targets, resolved memory addresses,
  * and the final architectural state into a FunctionalTrace;
  * runReplay() then re-runs *only the timing models* over that stream
  * under a fresh noise seed, machine geometry, or ASLR stack base,
  * skipping functional execution.  Its hatches mirror the others:
- * setUseReplayPath(false), MBIAS_SIM_REPLAY=0, -DMBIAS_SIM_REPLAY=OFF.
+ * setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
  */
 class Machine
 {
@@ -139,7 +121,7 @@ class Machine
                   Attribution *attribution = nullptr);
 
     /**
-     * Record-once half of the replay tier: one fast/trace-tier run
+     * Record-once half of the replay tier: one fast-tier run
      * that additionally captures the functional stream into @p *out.
      * The RunResult is bitwise identical to run() with the same
      * arguments.  Falls back to plain run() — leaving @p *out null —
@@ -164,19 +146,10 @@ class Machine
 
     const MachineConfig &config() const { return config_; }
 
-    /** The backend's tier-capability declaration (sim/registry.hh). */
-    const TierSupport &tierSupport() const { return tiers_; }
-
     /** Selects the plan-based fast interpreter (default on; results
      *  are bitwise identical either way). */
     void setUseFastPath(bool on) { useFastPath_ = on; }
     bool useFastPath() const { return useFastPath_; }
-
-    /** Selects the superblock trace tier on top of the fast path
-     *  (default on; results are bitwise identical either way).
-     *  Ignored while the fast path is off. */
-    void setUseTracePath(bool on) { useTracePath_ = on; }
-    bool useTracePath() const { return useTracePath_; }
 
     /** Selects the record/replay tier for runRecord()/runReplay()
      *  (default on; off forces their plain-run() fallback).  Ignored
@@ -196,15 +169,9 @@ class Machine
     RunResult runFast(const toolchain::ProcessImage &image,
                       std::uint64_t max_insts, const ExecutionPlan &plan);
 
-    /** The trace-tier interpreter: runFast's loop over a TracePlan's
-     *  rewritten ops, with superblocks batched (sim/trace.hh). */
-    RunResult
-    runTrace(const toolchain::ProcessImage &image, std::uint64_t max_insts,
-             const std::shared_ptr<const ExecutionPlan> &plan);
-
     /** Shared direct-threaded interpreter body behind runFast
-     *  (Traced = false), runTrace (Traced = true), and the record/
-     *  replay tier (Mode != Normal; @p rec receives the stream under
+     *  (Mode == Normal) and the record/replay tier (Mode != Normal;
+     *  @p rec receives the stream under
      *  Record, @p rep supplies it under Replay, and @p noise drives
      *  the reference-equivalent OS-interrupt model).  Core is the
      *  CoreModel policy (machine.cc: OooCore / InOrderCore) selected
@@ -213,11 +180,10 @@ class Machine
      *  `if constexpr` points, so the execution spine (decode,
      *  dataflow, memory, shadow structures) is shared and each
      *  instantiation keeps its direct-threaded throughput. */
-    template <bool Traced, RunMode Mode, class Core>
+    template <RunMode Mode, class Core>
     RunResult runPlanImpl(const toolchain::ProcessImage &image,
                           std::uint64_t max_insts,
                           const ExecutionPlan &plan,
-                          const TracePlan *tplan,
                           const NoiseModel &noise, FunctionalTrace *rec,
                           const FunctionalTrace *rep);
 
@@ -230,9 +196,6 @@ class Machine
                         bool is_store, PerfCounters &ctrs);
 
     MachineConfig config_;
-    /** The backend's tier-capability declaration, resolved once from
-     *  the registry (ad-hoc configs inherit their core kind's). */
-    TierSupport tiers_;
 
     uarch::Cache icache_;
     uarch::Cache dcache_;
@@ -248,7 +211,6 @@ class Machine
     Attribution *attr_ = nullptr;
 
     bool useFastPath_ = true;
-    bool useTracePath_ = true;
     bool useReplayPath_ = true;
 };
 

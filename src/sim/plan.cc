@@ -1,8 +1,7 @@
 #include "sim/plan.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
+#include "obs/trace.hh"
 
 namespace mbias::sim
 {
@@ -11,78 +10,6 @@ using isa::Opcode;
 
 namespace
 {
-
-/** Simple = no memory access, no control flow. */
-bool
-isSimple(Opcode op)
-{
-    switch (op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Divu:
-      case Opcode::Remu:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Sra:
-      case Opcode::Slt:
-      case Opcode::Sltu:
-      case Opcode::Addi:
-      case Opcode::Andi:
-      case Opcode::Ori:
-      case Opcode::Xori:
-      case Opcode::Slli:
-      case Opcode::Srli:
-      case Opcode::Srai:
-      case Opcode::Slti:
-      case Opcode::Li:
-      case Opcode::Nop:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isControlFlow(Opcode op)
-{
-    switch (op) {
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Bltu:
-      case Opcode::Bgeu:
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret:
-      case Opcode::Halt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-hasTarget(Opcode op)
-{
-    switch (op) {
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Bltu:
-      case Opcode::Bgeu:
-      case Opcode::Jmp:
-      case Opcode::Call:
-        return true;
-      default:
-        return false;
-    }
-}
 
 /** Relaxed add through an attachMetrics handle (nullptr = detached). */
 void
@@ -98,7 +25,6 @@ std::uint64_t
 ExecutionPlan::approxBytes() const
 {
     return sizeof(ExecutionPlan) + ops.size() * sizeof(DecodedOp) +
-           blockStarts.size() * sizeof(std::uint32_t) +
            idxByOffset.size() * sizeof(std::uint32_t);
 }
 
@@ -132,33 +58,6 @@ ExecutionPlan::build(std::shared_ptr<const toolchain::LinkedProgram> program)
         d.size = pi.size;
         d.accessSize = std::uint8_t(isa::memAccessSize(pi.inst.op));
     }
-
-    // Simple-run lengths, in one backward pass: a run ends at the
-    // first memory or control-flow instruction.
-    std::uint32_t run = 0;
-    for (std::size_t i = n; i-- > 0;) {
-        DecodedOp &d = plan->ops[i];
-        run = isSimple(d.op) ? std::min<std::uint32_t>(run + 1, 0xffff) : 0;
-        d.runLen = std::uint16_t(run);
-    }
-
-    // Basic-block leaders: entries, control-flow targets, fall-throughs.
-    std::vector<std::uint32_t> leaders;
-    leaders.reserve(prog.functions.size() * 4 + 1);
-    leaders.push_back(0);
-    for (const auto &fn : prog.functions)
-        leaders.push_back(fn.entryIdx);
-    for (std::size_t i = 0; i < n; ++i) {
-        const DecodedOp &d = plan->ops[i];
-        if (hasTarget(d.op))
-            leaders.push_back(d.targetIdx);
-        if (isControlFlow(d.op) && i + 1 < n)
-            leaders.push_back(std::uint32_t(i + 1));
-    }
-    std::sort(leaders.begin(), leaders.end());
-    leaders.erase(std::unique(leaders.begin(), leaders.end()),
-                  leaders.end());
-    plan->blockStarts = std::move(leaders);
 
     // Return-address table over the code segment's byte range.
     mbias_assert(prog.codeEnd >= prog.codeBase, "bad code extent");
@@ -203,8 +102,14 @@ PlanCache::get(const std::shared_ptr<const toolchain::LinkedProgram> &program)
         }
     }
 
-    // Build outside the lock; first insert wins on a racing miss.
-    auto plan = ExecutionPlan::build(program);
+    // Build outside the lock; first insert wins on a racing miss.  The
+    // span is the sim layer's one translation step (linked program to
+    // plan); perfbench/run.py reads its name as sim.trace_translate_s.
+    std::shared_ptr<const ExecutionPlan> plan;
+    {
+        obs::ScopedSpan span("trace-translate", "sim");
+        plan = ExecutionPlan::build(program);
+    }
 
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(key);

@@ -43,16 +43,6 @@ struct DecodedOp
     isa::Reg rs2 = 0;
     std::uint8_t size = 0;       ///< encoded bytes (fetch accounting)
     std::uint8_t accessSize = 0; ///< bytes moved by loads/stores
-
-    /**
-     * Length of the *simple run* starting here: the number of
-     * consecutive ALU/Li/Nop instructions (this one included) with no
-     * memory access and no control flow; 0 for non-simple
-     * instructions, saturating at 65535.  Structural metadata (plan
-     * tests and the throughput microbench report run/block shape); the
-     * interpreter itself keys everything off `op`.
-     */
-    std::uint16_t runLen = 0;
 };
 
 static_assert(sizeof(DecodedOp) <= 40, "DecodedOp must stay dense");
@@ -60,8 +50,8 @@ static_assert(sizeof(DecodedOp) <= 40, "DecodedOp must stay dense");
 /**
  * A per-program execution plan: everything the simulator can derive
  * from a LinkedProgram *once* instead of per run — decoded
- * instructions, straight-line basic blocks, and an O(1) return-address
- * table replacing the reference interpreter's per-Ret hash lookup.
+ * instructions and an O(1) return-address table replacing the
+ * reference interpreter's per-Ret hash lookup.
  *
  * A plan is a pure function of the program: it contains nothing
  * derived from a MachineConfig, so one plan serves every machine model
@@ -79,13 +69,6 @@ static_assert(sizeof(DecodedOp) <= 40, "DecodedOp must stay dense");
 struct ExecutionPlan
 {
     std::vector<DecodedOp> ops;
-
-    /**
-     * Basic-block leader indices, ascending: instruction i starts a
-     * block iff it is an entry point, a control-flow target, or the
-     * fall-through successor of a control-flow instruction.
-     */
-    std::vector<std::uint32_t> blockStarts;
 
     /**
      * Return-address table: idxByOffset[pc - codeBase] is the code

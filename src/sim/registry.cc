@@ -3,26 +3,6 @@
 namespace mbias::sim
 {
 
-namespace
-{
-
-/**
- * Capabilities implied by the core model alone.  The trace tier's
- * op_batch guards assume the OoO window hides intra-block latency
- * (sim/trace.cc builds rows under that model), so in-order cores fall
- * back to the plain fast path; the fast and replay tiers transcribe
- * the core policy exactly and work for every kind.
- */
-TierSupport
-tiersForKind(CoreKind kind)
-{
-    TierSupport t;
-    t.trace = kind == CoreKind::OutOfOrder;
-    return t;
-}
-
-} // namespace
-
 const MachineRegistry &
 MachineRegistry::global()
 {
@@ -35,15 +15,11 @@ MachineRegistry::MachineRegistry()
     // Paper platforms first, in paper order (P4, Core 2, m5 O3CPU):
     // MachineConfig::allPresets() and every golden-pinned figure
     // iterate this prefix.
-    add({MachineConfig::p4Like(), tiersForKind(CoreKind::OutOfOrder),
-         true, "out-of-order"});
-    add({MachineConfig::core2Like(), tiersForKind(CoreKind::OutOfOrder),
-         true, "out-of-order"});
-    add({MachineConfig::o3Like(), tiersForKind(CoreKind::OutOfOrder),
-         true, "out-of-order"});
+    add({MachineConfig::p4Like(), true, "out-of-order"});
+    add({MachineConfig::core2Like(), true, "out-of-order"});
+    add({MachineConfig::o3Like(), true, "out-of-order"});
     // Non-paper backends extend the study beyond the paper's set.
-    add({MachineConfig::inorderLike(), tiersForKind(CoreKind::InOrder),
-         false, "in-order"});
+    add({MachineConfig::inorderLike(), false, "in-order"});
 }
 
 void
@@ -65,15 +41,6 @@ MachineRegistry::byName(const std::string &name) const
         if (b.config.name == name)
             return &b;
     return nullptr;
-}
-
-TierSupport
-MachineRegistry::tiersFor(const MachineConfig &config)
-{
-    if (const auto *b = global().byName(config.name))
-        if (b->config.core == config.core)
-            return b->tiers;
-    return tiersForKind(config.core);
 }
 
 const std::vector<MachineConfig> &

@@ -10,28 +10,13 @@ namespace mbias::sim
 {
 
 /**
- * Which interpreter tiers a backend's core model supports beyond the
- * reference interpreter.  Follows the replay tier's precondition-
- * fallback pattern (sim/replay.hh): a caller that asks for an
- * unsupported tier silently gets the next tier down — run() checks
- * these declarations, so unsupported tiers are a documented fallback,
- * never an error.
- */
-struct TierSupport
-{
-    bool fast = true;   ///< ExecutionPlan direct-threaded path
-    bool trace = true;  ///< superblock op_batch tier on top of fast
-    bool replay = true; ///< record-once/replay-many functional stream
-};
-
-/**
- * One registered machine backend: a configuration plus the tier
- * capabilities its core model declares.
+ * One registered machine backend.  Every backend runs on every
+ * simulator tier (reference, fast, record/replay); the core model
+ * (config.core) selects the timing policy within them.
  */
 struct MachineBackend
 {
     MachineConfig config;
-    TierSupport tiers;
     /**
      * True for the three machines the paper actually measured (Core 2,
      * Pentium 4, m5 O3CPU).  MachineConfig::allPresets() — and every
@@ -74,14 +59,6 @@ class MachineRegistry
 
     /** nullptr when no backend has that name. */
     const MachineBackend *byName(const std::string &name) const;
-
-    /**
-     * Tier capabilities for a configuration: the declaration of the
-     * backend registered under config.name, or — for ad-hoc configs
-     * that never registered — the declaration derived from the core
-     * kind, so tweaked copies of a preset behave like the preset.
-     */
-    static TierSupport tiersFor(const MachineConfig &config);
 
   private:
     MachineRegistry();

@@ -6,6 +6,7 @@
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "sim/machine.hh"
+#include "sim/plan.hh"
 
 namespace mbias::sim
 {
@@ -20,13 +21,12 @@ replayDisabledByEnv()
 bool
 replayTierUsable(const Machine &machine)
 {
-#if !MBIAS_SIM_REPLAY_ENABLED
+#if !MBIAS_SIM_FASTPATH_ENABLED
     (void)machine;
     return false;
 #else
     return machine.useFastPath() && machine.useReplayPath() &&
-           machine.tierSupport().replay && !replayDisabledByEnv() &&
-           !referenceForcedByEnv();
+           !replayDisabledByEnv() && !referenceForcedByEnv();
 #endif
 }
 

@@ -13,10 +13,6 @@
 #include "obs/metrics.hh"
 #include "toolchain/loader.hh"
 
-#ifndef MBIAS_SIM_REPLAY_ENABLED
-#define MBIAS_SIM_REPLAY_ENABLED 1
-#endif
-
 namespace mbias::sim
 {
 
@@ -28,8 +24,8 @@ bool replayDisabledByEnv();
 
 /**
  * True when every switch between here and the hardware allows the
- * replay tier for @p machine: built in (-DMBIAS_SIM_REPLAY=ON over an
- * enabled fast path), not vetoed by MBIAS_SIM_REPLAY=0 or
+ * replay tier for @p machine: built in (the fast path is on), not
+ * vetoed by MBIAS_SIM_REPLAY=0 or
  * MBIAS_SIM_REFERENCE, and the machine's own fast/replay toggles on.
  * Callers (ExperimentRunner) consult this before paying for a
  * recording pass.
@@ -64,7 +60,7 @@ bool replayTierUsable(const Machine &machine);
  * `stackBoundary` by (image.initialSp - recordedSp) and leaves
  * code/global/heap addresses alone.  This assumes the program derives
  * stack addresses from sp by plain offset arithmetic (true of
- * compiler-generated code; the four-tier differential test holds the
+ * compiler-generated code; the replay differential test holds the
  * line per workload).
  */
 struct FunctionalTrace

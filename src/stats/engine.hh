@@ -74,9 +74,8 @@ struct EngineOptions
  * statistics of the means vector, which are likewise schedule
  * independent.
  *
- * Escape hatches: `MBIAS_STATS_SERIAL=1` in the environment pins every
- * engine to the serial reference at runtime; building with
- * `-DMBIAS_STATS_PARALLEL=OFF` compiles the fast path out entirely.
+ * Escape hatch: `MBIAS_STATS_SERIAL=1` in the environment pins every
+ * engine to the serial reference at runtime.
  */
 class Engine
 {

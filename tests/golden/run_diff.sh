@@ -9,10 +9,8 @@
 # [metrics] latency histograms — everything else is deterministic),
 # and byte-compares against the pinned seed transcript.  The golden id
 # is the binary name's first underscore-delimited token (fig2, table1,
-# ablation), after dropping the legacy_ prefix the reference builds of
-# the pre-pipeline drivers carry; --golden-id overrides it for
-# multi-figure entry points (`run_diff.sh mbias ... --golden-id fig2
-# fig 2`).
+# ablation); --golden-id overrides it for multi-figure entry points
+# (`run_diff.sh mbias ... --golden-id fig2 fig 2`).
 set -e
 
 bin="$1"
@@ -20,7 +18,6 @@ dir="$2"
 shift 2
 
 base="$(basename "$bin")"
-base="${base#legacy_}"
 id="${base%%_*}"
 if [ "${1:-}" = "--golden-id" ]; then
     id="$2"

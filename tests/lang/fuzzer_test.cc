@@ -6,9 +6,8 @@
  * round trip), runs to completion, produces the workload-invariant
  * checksum at every opt level, and — over a 64-program corpus across
  * rotating link orders and environment sizes — the plan-based fast
- * interpreter AND the superblock trace tier stay bitwise identical to
- * the reference interpreter, extending the suite differential tests
- * to machine-generated code.
+ * interpreter stays bitwise identical to the reference interpreter,
+ * extending the suite differential tests to machine-generated code.
  */
 #include <gtest/gtest.h>
 
@@ -82,10 +81,9 @@ TEST(Fuzzer, KnobsStayInDocumentedRanges)
 
 TEST(Fuzzer, CorpusDifferential64)
 {
-    // The fast tiers' bitwise contract, over machine-generated code:
+    // The fast path's bitwise contract, over machine-generated code:
     // 64 programs, link order and environment size rotating with the
-    // index, reference vs fast vs trace interpreter, full RunResult
-    // equality across all three.
+    // index, reference vs fast interpreter, full RunResult equality.
     lang::FuzzConfig cfg;
     cfg.seed = 2026;
     cfg.count = 64;
@@ -113,19 +111,13 @@ TEST(Fuzzer, CorpusDifferential64)
         const auto ref = ref_machine.run(image);
         sim::Machine fast_machine(mc);
         fast_machine.setUseFastPath(true);
-        fast_machine.setUseTracePath(false);
         const auto fast = fast_machine.run(image);
-        sim::Machine trace_machine(mc);
-        const auto trace = trace_machine.run(image);
 
         ASSERT_TRUE(ref.halted) << name;
         EXPECT_EQ(ref.result, expect)
             << name << ": O2 result diverged from the reference checksum";
         EXPECT_EQ(fast, ref)
             << name << ": fast path diverged (cycles " << fast.cycles()
-            << " vs " << ref.cycles() << ")";
-        EXPECT_EQ(trace, ref)
-            << name << ": trace tier diverged (cycles " << trace.cycles()
             << " vs " << ref.cycles() << ")";
     }
 }

@@ -1,16 +1,13 @@
 /**
  * @file
  * The machine-backend layer's contract: every backend in the
- * MachineRegistry must run every tier it declares with bitwise
- * identical results, and must *assert its fallback* for every tier it
- * does not — the in-order core declares no trace support, so its
- * trace-tier requests silently take the plain fast path, and its
- * record/replay runs batch nothing.  On top of the per-backend
- * four-tier differential this file pins the registry's shape (paper
- * presets first, in paper order), the ad-hoc-config capability
- * derivation, the DVFS noise factor's reference-vs-plan transcription
- * on both core models, and the in-order policy's observable
- * properties (exposed stalls, fetch-realignment charges).
+ * MachineRegistry must run every simulator tier (reference, fast,
+ * record/replay) with bitwise identical results.  On top of the
+ * per-backend three-tier differential this file pins the registry's
+ * shape (paper presets first, in paper order), the DVFS noise
+ * factor's reference-vs-plan transcription on both core models, and
+ * the in-order policy's observable properties (exposed stalls,
+ * fetch-realignment charges).
  */
 #include <gtest/gtest.h>
 
@@ -52,7 +49,7 @@ imageFor(const std::string &workload, const toolchain::LinkOrder &order,
 bool
 replayTierActive()
 {
-#if MBIAS_SIM_FASTPATH_ENABLED && MBIAS_SIM_REPLAY_ENABLED
+#if MBIAS_SIM_FASTPATH_ENABLED
     if (sim::replayDisabledByEnv())
         return false;
     return !sim::referenceForcedByEnv();
@@ -62,16 +59,14 @@ replayTierActive()
 }
 
 /**
- * One backend through all four tiers on one image: reference (fast
- * path forced off), fast (trace toggled off), trace (everything on —
- * which for a no-trace backend must assert its fallback via
- * traceTierUsable), and record/replay under a noise seed.  Every
- * result must equal the reference bits.
+ * One backend through all three tiers on one image: reference (fast
+ * path forced off), fast, and record/replay under a noise seed.
+ * Every result must equal the reference bits.
  */
 void
-expectFourTierIdentical(const sim::MachineBackend &backend,
-                        const toolchain::ProcessImage &image,
-                        const std::string &what)
+expectThreeTierIdentical(const sim::MachineBackend &backend,
+                         const toolchain::ProcessImage &image,
+                         const std::string &what)
 {
     const std::uint64_t budget = 500'000'000;
 
@@ -81,22 +76,13 @@ expectFourTierIdentical(const sim::MachineBackend &backend,
     ASSERT_TRUE(ref.halted) << what;
 
     sim::Machine fast(backend.config);
-    fast.setUseTracePath(false);
     EXPECT_EQ(fast.run(image, budget), ref)
         << what << ": fast tier diverged from reference";
 
-    sim::Machine full(backend.config);
-    EXPECT_EQ(sim::traceTierUsable(full) && !backend.tiers.trace, false)
-        << what << ": trace tier usable despite the backend declaring "
-        << "no support";
-    EXPECT_EQ(full.run(image, budget), ref)
-        << what << (backend.tiers.trace
-                        ? ": trace tier diverged from reference"
-                        : ": trace-tier fallback diverged from reference");
-
     // Record under one noise seed, replay under another; each must
     // match the plain (reference-interpreted, since noise is on) run
-    // of the same seed.  Unsupported replay must leave the trace null.
+    // of the same seed.  A hatched-off replay tier must leave the
+    // trace null.
     sim::Machine rr(backend.config);
     std::shared_ptr<const sim::FunctionalTrace> trace;
     const auto noise0 = sim::NoiseModel::withSeed(0xc04f + ref.result % 7);
@@ -104,9 +90,9 @@ expectFourTierIdentical(const sim::MachineBackend &backend,
     sim::Machine plain0(backend.config);
     EXPECT_EQ(rec, plain0.run(image, budget, noise0))
         << what << ": recording run diverged";
-    if (!replayTierActive() || !backend.tiers.replay) {
+    if (!replayTierActive()) {
         EXPECT_EQ(trace, nullptr)
-            << what << ": unsupported replay must fall back traceless";
+            << what << ": disabled replay must fall back traceless";
         return;
     }
     ASSERT_NE(trace, nullptr) << what << ": recording aborted";
@@ -137,42 +123,11 @@ TEST(BackendConformance, RegistryShape)
     ASSERT_NE(inorder, nullptr);
     EXPECT_FALSE(inorder->paperPreset);
     EXPECT_EQ(inorder->coreModel, "in-order");
-    EXPECT_TRUE(inorder->tiers.fast);
-    EXPECT_FALSE(inorder->tiers.trace); // batch guards assume the OoO
-                                        // window model
-    EXPECT_TRUE(inorder->tiers.replay);
     EXPECT_EQ(reg.byName("nosuch"), nullptr);
     EXPECT_NE(reg.namesJoined().find("inorderlike"), std::string::npos);
 }
 
-TEST(BackendConformance, AdHocConfigsInheritCoreKindTiers)
-{
-    // A tweaked copy of a preset (renamed, so the registry lookup
-    // misses) derives its capabilities from its core kind.
-    auto tweaked = sim::MachineConfig::inorderLike();
-    tweaked.name = "inorder_tweaked";
-    tweaked.fetchRealignPenalty = 3;
-    const auto tiers = sim::MachineRegistry::tiersFor(tweaked);
-    EXPECT_TRUE(tiers.fast);
-    EXPECT_FALSE(tiers.trace);
-    EXPECT_TRUE(tiers.replay);
-
-    auto ooo = sim::MachineConfig::core2Like();
-    ooo.name = "core2_tweaked";
-    EXPECT_TRUE(sim::MachineRegistry::tiersFor(ooo).trace);
-
-    // A name collision with a *different* core kind must not borrow
-    // the registered backend's declaration.
-    auto impostor = sim::MachineConfig::core2Like();
-    impostor.core = sim::CoreKind::InOrder;
-    EXPECT_FALSE(sim::MachineRegistry::tiersFor(impostor).trace);
-
-    sim::Machine machine(tweaked);
-    EXPECT_FALSE(machine.tierSupport().trace);
-    EXPECT_FALSE(sim::traceTierUsable(machine));
-}
-
-TEST(BackendConformance, FourTierDifferentialEveryBackend)
+TEST(BackendConformance, ThreeTierDifferentialEveryBackend)
 {
     // Every registered backend over a few setups of two workloads with
     // different character (pointer-chasing vs branchy integer), each
@@ -183,10 +138,10 @@ TEST(BackendConformance, FourTierDifferentialEveryBackend)
         const std::uint64_t env = (911 * b * b) % 4096;
         const auto order = b % 2 ? toolchain::LinkOrder::shuffled(0xbac + b)
                                  : toolchain::LinkOrder::asGiven();
-        expectFourTierIdentical(backend, imageFor("mcf", order, env),
-                                backend.config.name + "/mcf env=" +
-                                    std::to_string(env));
-        expectFourTierIdentical(
+        expectThreeTierIdentical(backend, imageFor("mcf", order, env),
+                                 backend.config.name + "/mcf env=" +
+                                     std::to_string(env));
+        expectThreeTierIdentical(
             backend, imageFor("sjeng", order, 4096 - env),
             backend.config.name + "/sjeng env=" +
                 std::to_string(4096 - env));

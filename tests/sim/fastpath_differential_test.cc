@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/setup.hh"
+#include "isa/builder.hh"
 #include "sim/machine.hh"
 #include "sim/plan.hh"
 #include "toolchain/compiler.hh"
@@ -49,6 +50,37 @@ runWith(const sim::MachineConfig &mc, const toolchain::ProcessImage &image,
     sim::Machine machine(mc);
     machine.setUseFastPath(fast);
     return machine.run(image, max_insts);
+}
+
+/** A hot straight-line kernel: long unrolled ALU runs between
+ *  branches, so budgets can cut a run deep inside a basic block. */
+toolchain::ProcessImage
+straightLineImage()
+{
+    using namespace isa;
+    ProgramBuilder b("sb_kernel");
+    b.func("main");
+    b.li(reg::t0, 500);
+    b.li(reg::s0, 0x1234);
+    b.label("loop");
+    for (int g = 0; g < 24; ++g) {
+        b.addi(reg::s0, reg::s0, g + 1);
+        b.xori(reg::s1, reg::s1, 0x5a5a);
+        b.add(reg::s2, reg::s2, reg::s0);
+        b.addi(reg::s3, reg::s3, 7);
+    }
+    b.addi(reg::t0, reg::t0, -1);
+    b.bne(reg::t0, reg::zero, "loop");
+    b.add(reg::s1, reg::s1, reg::s2);
+    b.add(reg::s1, reg::s1, reg::s3);
+    b.add(reg::s1, reg::s1, reg::s0);
+    b.mv(reg::a0, reg::s1);
+    b.halt();
+    b.endFunc();
+    auto prog = toolchain::Linker().link({b.build()});
+    toolchain::LoaderConfig lc;
+    lc.envBytes = 1024;
+    return toolchain::Loader::load(std::move(prog), lc);
 }
 
 void
@@ -123,6 +155,10 @@ TEST(FastPathDifferential, EveryAblationSwitch)
          [](sim::MachineConfig &m) {
              m.predictor = sim::PredictorKind::Bimodal;
          }},
+        // An OoO window that hides nothing: every producer-consumer
+        // latency is exposed as a stall.
+        {"oooWindow0",
+         [](sim::MachineConfig &m) { m.oooWindowCycles = 0; }},
     };
     for (const auto &[label, mutate] : variants) {
         auto mc = sim::MachineConfig::core2Like();
@@ -145,32 +181,31 @@ TEST(FastPathDifferential, InstructionBudgetTruncation)
             << "bzip truncated at " << budget << " insts";
     }
     EXPECT_FALSE(runWith(mc, image, true, 100).halted);
+
+    // Budgets that land inside long straight-line runs, away from any
+    // branch or memory op.
+    const auto straight = straightLineImage();
+    for (std::uint64_t budget :
+         {1ull, 7ull, 97ull, 1000ull, 12'345ull}) {
+        const auto ref = runWith(mc, straight, false, budget);
+        const auto fast = runWith(mc, straight, true, budget);
+        EXPECT_EQ(fast, ref)
+            << "straight-line kernel truncated at " << budget << " insts";
+    }
+    EXPECT_FALSE(runWith(mc, straight, true, 100).halted);
 }
 
 TEST(FastPathDifferential, PlanStructureInvariants)
 {
-    // The plan is structural metadata for the fast loop: every block
-    // leader in range and sorted, the return-address table inverse to
-    // the placed pcs, and runLen consistent with op classes.
+    // The return-address table is the inverse of the placed pcs.
     const auto image =
         imageFor("hmmer", toolchain::LinkOrder::shuffled(11), 0);
     const auto plan = sim::ExecutionPlan::build(image.program);
     const auto &ops = plan->ops;
     ASSERT_FALSE(ops.empty());
-    ASSERT_FALSE(plan->blockStarts.empty());
-    EXPECT_EQ(plan->blockStarts.front(), 0u);
-    for (std::size_t i = 1; i < plan->blockStarts.size(); ++i) {
-        EXPECT_LT(plan->blockStarts[i - 1], plan->blockStarts[i]);
-        EXPECT_LT(plan->blockStarts[i], ops.size());
-    }
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto &d = ops[i];
-        EXPECT_EQ(plan->idxByOffset.at(std::size_t(d.pc - plan->codeBase)),
-                  std::uint32_t(i));
-        if (d.runLen > 0 && i + 1 < ops.size())
-            EXPECT_EQ(std::uint32_t(d.runLen) - 1,
-                      std::uint32_t(ops[i + 1].runLen))
-                << "runLen must decrease by 1 inside a simple run";
+        const auto off = std::size_t(ops[i].pc - plan->codeBase);
+        EXPECT_EQ(plan->idxByOffset.at(off), std::uint32_t(i));
     }
 }
 

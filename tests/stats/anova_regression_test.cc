@@ -1,4 +1,4 @@
-/** @file Tests for ANOVA, regression, correlation, sign test, KDE. */
+/** @file Tests for ANOVA, regression, correlation, KDE. */
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "stats/anova.hh"
 #include "stats/density.hh"
 #include "stats/regression.hh"
-#include "stats/signtest.hh"
 
 namespace
 {
@@ -107,47 +106,6 @@ TEST(Correlation, SpearmanHandlesTies)
     // Ties share mean ranks; result must be finite and sane.
     const double r = spearman({1, 1, 2, 3}, {10, 10, 20, 30});
     EXPECT_NEAR(r, 1.0, 1e-12);
-}
-
-// ------------------------------------------------------------ sign test
-
-TEST(SignTest, AllPositiveSignificant)
-{
-    std::vector<double> a{2, 3, 4, 5, 6, 7, 8, 9};
-    std::vector<double> b{1, 2, 3, 4, 5, 6, 7, 8};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.positive, 8);
-    EXPECT_EQ(r.negative, 0);
-    EXPECT_NEAR(r.pValue, 2.0 / 256.0, 1e-12);
-    EXPECT_TRUE(r.significant());
-}
-
-TEST(SignTest, BalancedNotSignificant)
-{
-    std::vector<double> a{1, 3, 1, 3, 1, 3};
-    std::vector<double> b{2, 2, 2, 2, 2, 2};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.positive, 3);
-    EXPECT_EQ(r.negative, 3);
-    EXPECT_FALSE(r.significant());
-}
-
-TEST(SignTest, TiesExcluded)
-{
-    std::vector<double> a{1, 2, 3};
-    std::vector<double> b{1, 2, 2};
-    auto r = signTest(a, b);
-    EXPECT_EQ(r.ties, 2);
-    EXPECT_EQ(r.positive, 1);
-    EXPECT_NEAR(r.pValue, 1.0, 1e-12);
-}
-
-TEST(SignTest, AllTies)
-{
-    std::vector<double> a{1, 1};
-    auto r = signTest(a, a);
-    EXPECT_EQ(r.ties, 2);
-    EXPECT_DOUBLE_EQ(r.pValue, 1.0);
 }
 
 // ------------------------------------------------------------------ KDE

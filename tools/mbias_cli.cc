@@ -67,6 +67,7 @@
 #include "pipeline/driver.hh"
 #include "pipeline/options.hh"
 #include "sim/machine.hh"
+#include "sim/registry.hh"
 #include "survey/analyzer.hh"
 #include "workloads/registry.hh"
 
@@ -230,8 +231,8 @@ printWorkloads()
     std::printf("%s\n", t.str().c_str());
     // Which interpreter these workloads will run on (provenance for
     // perf deltas between hosts/builds; results are tier-invariant),
-    // and which machine backends are registered — with their core
-    // models, since tier availability follows the core model.
+    // and which machine backends are registered, with their core
+    // models.
     std::printf("sim tier: %s\n", sim::activeSimTierDescription().c_str());
     std::string backends;
     for (const auto &b : sim::MachineRegistry::global().backends()) {
