@@ -38,7 +38,6 @@
 #include "sim/machine.hh"
 #include "sim/plan.hh"
 #include "sim/registry.hh"
-#include "sim/replay.hh"
 #include "toolchain/artifacts.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
@@ -158,26 +157,25 @@ straightLineImage()
     return toolchain::Loader::load(std::move(prog), lc);
 }
 
-/** The record-once/replay-many measurement (sim/replay.hh). */
+/** The lockstep-lanes measurement (Machine::runLanes). */
 struct NoisyRepResult
 {
     unsigned reps = 0;
-    double perRepWall = 0.0;  ///< reps noisy runs, per-rep execution
-    double replayWall = 0.0;  ///< one recording + reps-1 replays
+    double perRepWall = 0.0; ///< reps noisy runs, one fast run each
+    double lanesWall = 0.0;  ///< the same reps as lockstep lanes
     double perRepInstsPerSec = 0.0;
-    double replayInstsPerSec = 0.0;
-    double speedup = 0.0;
-    bool replayed = false; ///< false when the tier is hatched off
+    double lanesInstsPerSec = 0.0;
+    double lanesVsPerRep = 0.0;
 };
 
 /**
  * The noisy-repetition driver shape (NoiseRepeated/NoisePaired
  * campaigns, ExperimentRunner::repeatedMetric): the same image run
- * `reps` times under distinct noise seeds.  Per-rep execution pays the
- * reference interpreter every time (noise needs the timing models
- * live); the replay tier records the functional stream once — that IS
- * rep 0 — and re-runs only the timing models for the rest.  Both arms
- * are verified bitwise identical per seed before any timing.
+ * `reps` times under distinct noise seeds.  Per-rep execution runs
+ * each seed on its own through the fast tier; lanes run them
+ * Machine::kLaneWidth at a time, sharing the functional execution and
+ * front end.  Both arms are verified bitwise identical per seed before
+ * any timing.
  */
 NoisyRepResult
 measureNoisyRepetition(const char *name,
@@ -187,69 +185,48 @@ measureNoisyRepetition(const char *name,
     constexpr std::uint64_t kSeedBase = 0xbe9c;
     const std::uint64_t budget = sim::Machine::kDefaultRunBudget;
     sim::Machine machine(sim::MachineConfig::core2Like());
+    std::vector<sim::Machine::Lane> lanes;
+    for (unsigned r = 0; r < kReps; ++r)
+        lanes.push_back({&image, sim::NoiseModel::withSeed(kSeedBase + r)});
 
-    // Correctness gate: every replayed repetition must match the
-    // per-rep execution of its seed bitwise, or the numbers below
-    // would compare different experiments.
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    const auto rec = machine.runRecord(
-        image, budget, sim::NoiseModel::withSeed(kSeedBase), &trace);
-    mbias_assert(rec.halted, "bench workload did not halt");
-    const double insts = double(rec.instructions());
-    for (unsigned r = 0; r < kReps; ++r) {
-        const auto noise = sim::NoiseModel::withSeed(kSeedBase + r);
-        const auto ref = machine.run(image, budget, noise);
-        const auto opt =
-            r == 0 ? rec
-            : trace ? machine.runReplay(image, budget, noise, *trace)
-                    : machine.run(image, budget, noise);
-        mbias_assert(opt == ref,
-                     "replayed repetition diverged from per-rep run");
-    }
+    // Correctness gate: every lane must match the per-rep execution of
+    // its seed bitwise, or the numbers below would compare different
+    // experiments.
+    const auto batched = machine.runLanes(lanes, budget);
+    mbias_assert(batched[0].halted, "bench workload did not halt");
+    const double insts = double(batched[0].instructions());
+    for (unsigned r = 0; r < kReps; ++r)
+        mbias_assert(batched[r] == machine.run(image, budget, lanes[r].noise),
+                     "lane diverged from its per-rep run");
 
     NoisyRepResult out;
     out.reps = kReps;
-    out.replayed = trace != nullptr;
     constexpr int kRounds = 5;
     for (int round = 0; round < kRounds; ++round) {
         {
             const auto t0 = std::chrono::steady_clock::now();
-            for (unsigned r = 0; r < kReps; ++r)
-                machine.run(image, budget,
-                            sim::NoiseModel::withSeed(kSeedBase + r));
+            for (const auto &lane : lanes)
+                machine.run(image, budget, lane.noise);
             const double wall = secondsSince(t0);
             if (out.perRepWall == 0.0 || wall < out.perRepWall)
                 out.perRepWall = wall;
         }
         {
-            // The recording pass is part of the replay arm's cost: the
-            // runner amortizes it as rep 0, so the bench does too.
             const auto t0 = std::chrono::steady_clock::now();
-            std::shared_ptr<const sim::FunctionalTrace> t;
-            machine.runRecord(image, budget,
-                              sim::NoiseModel::withSeed(kSeedBase), &t);
-            for (unsigned r = 1; r < kReps; ++r) {
-                const auto noise =
-                    sim::NoiseModel::withSeed(kSeedBase + r);
-                if (t)
-                    machine.runReplay(image, budget, noise, *t);
-                else
-                    machine.run(image, budget, noise);
-            }
+            machine.runLanes(lanes, budget);
             const double wall = secondsSince(t0);
-            if (out.replayWall == 0.0 || wall < out.replayWall)
-                out.replayWall = wall;
+            if (out.lanesWall == 0.0 || wall < out.lanesWall)
+                out.lanesWall = wall;
         }
     }
     out.perRepInstsPerSec = insts * kReps / out.perRepWall;
-    out.replayInstsPerSec = insts * kReps / out.replayWall;
-    out.speedup = out.perRepWall / out.replayWall;
+    out.lanesInstsPerSec = insts * kReps / out.lanesWall;
+    out.lanesVsPerRep = out.perRepWall / out.lanesWall;
     std::fprintf(stderr,
-                 "  %s noisy reps (%u): per-rep %.1f, replay %.1f Mi/s "
-                 "-> %.2fx%s\n",
+                 "  %s noisy reps (%u): per-rep %.1f, lanes %.1f Mi/s "
+                 "-> %.2fx\n",
                  name, kReps, out.perRepInstsPerSec / 1e6,
-                 out.replayInstsPerSec / 1e6, out.speedup,
-                 out.replayed ? "" : " (replay tier off)");
+                 out.lanesInstsPerSec / 1e6, out.lanesVsPerRep);
     return out;
 }
 
@@ -294,7 +271,6 @@ campaignArm(bool cache_on, Tier tier, unsigned jobs)
         // campaign (and the cache-off arm can't hit stale entries).
         toolchain::ArtifactCache::global().clear();
         sim::PlanCache::global().clear();
-        sim::ReplayCache::global().clear();
         // stats() counters are cumulative over the process; diff
         // around the run to attribute hits/misses to this round.
         const auto before = toolchain::ArtifactCache::global().stats();
@@ -377,11 +353,11 @@ main(int argc, char **argv)
             &backend, measureTiers(backend.config.name.c_str(),
                                    backend.config, image));
 
-    // Part 1c: record-once / replay-many on the noisy-repetition
-    // driver shape (reps >= 20).  Per-rep noisy execution always pays
-    // the reference interpreter; replay rides the fast loop, so perl
-    // bounds the memory-heavy end and the straight-line kernel the
-    // ALU-bound end.
+    // Part 1c: lockstep lanes on the noisy-repetition driver shape
+    // (reps >= 20) against one fast run per rep.  Lanes share the
+    // functional execution and front end but not the data side, so
+    // memory-heavy perl bounds the low end and the straight-line
+    // kernel the high end.
     const NoisyRepResult noisyPerl =
         measureNoisyRepetition("perl", image);
     const NoisyRepResult noisyStraight =
@@ -433,17 +409,18 @@ main(int argc, char **argv)
                         bool comma) {
         std::printf("    \"%s\": {\n", wname);
         std::printf("      \"reps\": %u,\n", n.reps);
-        std::printf("      \"replayed\": %s,\n",
-                    n.replayed ? "true" : "false");
+        std::printf("      \"lane_width\": %u,\n",
+                    sim::Machine::kLaneWidth);
         std::printf("      \"per_rep_wall_seconds\": %.4f,\n",
                     n.perRepWall);
-        std::printf("      \"replay_wall_seconds\": %.4f,\n",
-                    n.replayWall);
+        std::printf("      \"lanes_wall_seconds\": %.4f,\n",
+                    n.lanesWall);
         std::printf("      \"per_rep_insts_per_sec\": %.0f,\n",
                     n.perRepInstsPerSec);
-        std::printf("      \"replay_insts_per_sec\": %.0f,\n",
-                    n.replayInstsPerSec);
-        std::printf("      \"speedup\": %.4f\n", n.speedup);
+        std::printf("      \"lanes_insts_per_sec\": %.0f,\n",
+                    n.lanesInstsPerSec);
+        std::printf("      \"lanes_vs_per_rep\": %.4f\n",
+                    n.lanesVsPerRep);
         std::printf("    }%s\n", comma ? "," : "");
     };
     noisyJson("perl", noisyPerl, true);

@@ -29,7 +29,7 @@ row="$(jq -n --arg commit "$COMMIT" --arg title "$TITLE" \
             reports: {}}')"
 
 # Headline metrics per report: every top-level "speedup", plus the sim
-# report's per-tier ratios and record/replay repetition speedups.
+# report's per-tier ratios and lanes-vs-per-rep repetition ratios.
 for f in results/BENCH_*.json; do
     [ -f "$f" ] || continue
     base="$(basename "$f")"
@@ -42,8 +42,8 @@ for f in results/BENCH_*.json; do
                 .interpreter.straightline.fast_vs_reference
           } else {} end)
         + (if .noisy_repetition? then {
-            noisy_repetition_speedups:
-                (.noisy_repetition | map_values(.speedup))
+            noisy_lanes_vs_per_rep:
+                (.noisy_repetition | map_values(.lanes_vs_per_rep))
           } else {} end)
         + (if .backends? then {
             backend_fast_vs_reference:

@@ -16,7 +16,6 @@
 #include "obs/trace.hh"
 #include "parallel/pool.hh"
 #include "sim/plan.hh"
-#include "sim/replay.hh"
 #include "toolchain/artifacts.hh"
 
 namespace mbias::campaign
@@ -258,11 +257,9 @@ CampaignEngine::run()
         toolchain::ArtifactCache::global();
     if (opts_.artifactCache)
         artifacts.attachMetrics(&metrics);
-    // The simulator's plan/replay caches mirror their counters the
-    // same way (sim.plan.*, sim.replay.*) regardless of the artifact
-    // cache.
+    // The simulator's plan cache mirrors its counters the same way
+    // (sim.plan.*) regardless of the artifact cache.
     sim::PlanCache::global().attachMetrics(&metrics);
-    sim::ReplayCache::global().attachMetrics(&metrics);
     // The caches are process-global and the registry is per-run:
     // detach on every exit path, before the registry dies.
     struct DetachMetrics
@@ -273,7 +270,6 @@ CampaignEngine::run()
             if (cache)
                 cache->attachMetrics(nullptr);
             sim::PlanCache::global().attachMetrics(nullptr);
-            sim::ReplayCache::global().attachMetrics(nullptr);
         }
     } detachMetrics{opts_.artifactCache ? &artifacts : nullptr};
 

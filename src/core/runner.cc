@@ -1,11 +1,11 @@
 #include "core/runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "base/logging.hh"
 #include "obs/trace.hh"
-#include "sim/replay.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
 #include "workloads/registry.hh"
@@ -39,6 +39,7 @@ ExperimentRunner::setMetrics(obs::Registry *metrics)
         metrics ? &metrics->counter("runner.compiles") : nullptr;
     runHistogram_ =
         metrics ? &metrics->histogram("runner.run_us") : nullptr;
+    laneCounter_ = metrics ? &metrics->counter("runner.lanes") : nullptr;
 }
 
 toolchain::ModulesPtr
@@ -155,52 +156,14 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
                                  const sim::NoiseModel &noise_template)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    auto image = materialize(tc, setup);
-    sim::Machine machine(spec_.machine);
-    stats::Sample out;
-    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    const auto image = materialize(tc, setup);
     // Rep r's model: the caller's template with seed base + r (the
     // default template reproduces the historical withSeed(base + r)).
-    const auto noise_for = [&](unsigned rep) {
-        sim::NoiseModel n = noise_template;
-        n.seed = noise_seed_base + rep;
-        return n;
-    };
-
-    // Record-once / replay-many: the functional stream is identical
-    // across noise seeds (noise perturbs timing and cache state, never
-    // a value), so one recorded pass serves every repetition.  The
-    // recording itself runs under rep 0's noise model — it IS rep 0 —
-    // and later repetitions replay only the timing models per seed,
-    // bitwise identical to per-rep execution (replay differential
-    // test).  Preconditions failing (tier disabled, oversized stream)
-    // drop back to the per-rep loop below.
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    unsigned r = 0;
-    if (reps > 1 && sim::replayTierUsable(machine)) {
-        auto &cache = sim::ReplayCache::global();
-        bool unrecordable = false;
-        trace = cache.find(image, budget, &unrecordable);
-        if (!trace && !unrecordable) {
-            auto rr = machine.runRecord(image, budget, noise_for(0), &trace);
-            mbias_assert(rr.halted,
-                         "workload did not halt: ", spec_.workload);
-            out.add(metricOf(rr));
-            r = 1;
-            cache.insert(image, budget, trace); // null = negative entry
-        }
-        if (!trace)
-            cache.noteFallback();
-    }
-    for (; r < reps; ++r) {
-        const auto noise = noise_for(r);
-        auto rr = trace
-                      ? machine.runReplay(image, budget, noise, *trace)
-                      : machine.run(image, budget, noise);
-        mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-        out.add(metricOf(rr));
-    }
-    return out;
+    return runLaneBatches(reps, [&](unsigned rep) {
+        sim::Machine::Lane lane{&image, noise_template};
+        lane.noise.seed = noise_seed_base + rep;
+        return lane;
+    });
 }
 
 stats::Sample
@@ -215,54 +178,48 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
         obs::ScopedSpan span("setup-materialize", "runner");
         prog = linkedProgram(tc, setup.linkOrder);
     }
-    stats::Sample out;
-    sim::Machine machine(spec_.machine);
-    obs::ScopedSpan runSpan("run", "runner");
-    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
-
-    // ASLR only moves the stack region, so the recorded functional
-    // stream is layout-invariant modulo the initial-sp delta: replay
-    // rebases stack addresses per draw and re-runs just the timing
-    // models.  The ReplayCache key excludes the stack base, so one
-    // recording (possibly from repeatedMetric) serves every draw.
-    std::shared_ptr<const sim::FunctionalTrace> trace;
-    const bool tier_on = reps > 1 && sim::replayTierUsable(machine);
-    for (unsigned r = 0; r < reps; ++r) {
-        // Each rep loads under a fresh ASLR seed; these one-shot
-        // layouts bypass the artifact cache on purpose (they would
-        // only displace reusable entries).
+    // Each rep loads under a fresh ASLR seed; these one-shot layouts
+    // bypass the artifact cache on purpose (they would only displace
+    // reusable entries).  ASLR moves only the stack, so every draw is
+    // a lane of the same program.
+    std::vector<toolchain::ProcessImage> images(reps);
+    return runLaneBatches(reps, [&](unsigned rep) {
         toolchain::LoaderConfig lc = loaderConfigFor(setup);
-        lc.aslrSeed = aslr_seed_base + r;
-        auto image = toolchain::Loader::load(prog, lc);
+        lc.aslrSeed = aslr_seed_base + rep;
+        images[rep] = toolchain::Loader::load(prog, lc);
+        return sim::Machine::Lane{&images[rep], sim::NoiseModel::none()};
+    });
+}
+
+template <class LaneFor>
+stats::Sample
+ExperimentRunner::runLaneBatches(unsigned reps, LaneFor &&lane_for)
+{
+    // A repetition family shares its functional execution, so its reps
+    // run as lockstep lanes of the fast tier, kLaneWidth at a time;
+    // every lane's result is bitwise the one its own run() would give
+    // (tests/sim/lanes_differential_test.cc).
+    sim::Machine machine(spec_.machine);
+    stats::Sample out;
+    std::vector<sim::Machine::Lane> lanes;
+    for (unsigned first = 0; first < reps;
+         first += sim::Machine::kLaneWidth) {
+        const unsigned n = std::min(sim::Machine::kLaneWidth, reps - first);
+        obs::ScopedSpan runSpan("run", "runner");
+        lanes.clear();
+        for (unsigned r = first; r < first + n; ++r)
+            lanes.push_back(lane_for(r));
         const auto t0 = std::chrono::steady_clock::now();
-        sim::RunResult rr;
-        if (trace) {
-            rr = machine.runReplay(image, budget,
-                                   sim::NoiseModel::none(), *trace);
-        } else if (r == 0 && tier_on) {
-            auto &cache = sim::ReplayCache::global();
-            bool unrecordable = false;
-            trace = cache.find(image, budget, &unrecordable);
-            if (trace) {
-                rr = machine.runReplay(image, budget,
-                                       sim::NoiseModel::none(), *trace);
-            } else if (!unrecordable) {
-                rr = machine.runRecord(image, budget,
-                                       sim::NoiseModel::none(), &trace);
-                cache.insert(image, budget, trace);
-                if (!trace)
-                    cache.noteFallback();
-            } else {
-                cache.noteFallback();
-                rr = machine.run(image, budget);
-            }
-        } else {
-            rr = machine.run(image, budget);
-        }
+        const auto results = machine.runLanes(lanes);
         if (runHistogram_)
             runHistogram_->record(microsSince(t0));
-        mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-        out.add(metricOf(rr));
+        if (laneCounter_)
+            laneCounter_->add(n);
+        for (const auto &rr : results) {
+            mbias_assert(rr.halted, "workload did not halt: ",
+                         spec_.workload);
+            out.add(metricOf(rr));
+        }
     }
     return out;
 }

@@ -142,8 +142,9 @@ class ExperimentRunner
 
     /**
      * Attaches a metrics registry: the runner then counts
-     * `runner.compiles` and records `runner.run_us` per simulated
-     * side.  @p metrics must outlive the runner; nullptr detaches.
+     * `runner.compiles` and `runner.lanes` (repetitions run as lanes)
+     * and records `runner.run_us` per simulated side or lane batch.
+     * @p metrics must outlive the runner; nullptr detaches.
      * (Span tracing is independent of this — spans go to the global
      * Tracer whenever a session is active.)
      */
@@ -172,10 +173,20 @@ class ExperimentRunner
     materialize(const toolchain::ToolchainSpec &tc,
                 const ExperimentSetup &setup);
 
+    /**
+     * Runs reps 0..@p reps-1 of a repetition family as lockstep lanes
+     * on the spec's machine, one `run` span per batch; @p lane_for(r)
+     * builds rep r's lane (its image must outlive the call).  Returns
+     * the metric sample in rep order.
+     */
+    template <class LaneFor>
+    stats::Sample runLaneBatches(unsigned reps, LaneFor &&lane_for);
+
     ExperimentSpec spec_;
     std::uint64_t spAlign_ = 0;
     obs::Counter *compileCounter_ = nullptr;
     obs::Histogram *runHistogram_ = nullptr;
+    obs::Counter *laneCounter_ = nullptr;
     toolchain::ArtifactCache *artifacts_;
 
     /** Per-toolchain compile memo for the cache-off mode only. */

@@ -6,6 +6,7 @@
 #include "obs/trace.hh"
 #include "sim/plan.hh"
 #include "sim/replay.hh"
+#include "sim/shadow.hh"
 
 #include <algorithm>
 #include <cstdlib>
@@ -76,99 +77,61 @@ makePredictor(const MachineConfig &c)
 }
 
 /**
- * Fast-path twin of uarch::Cache's line touch with a packed slot
- * array: same geometry, same MRU-ordered hit/replacement decisions,
- * but one uint64 per way — (tag << 1) | valid — instead of parallel
- * vector<uint64> / vector<bool>, so the way scan and the MRU shift
- * are plain word moves.  Starting from the same (reset) state, every
- * access returns exactly what Cache::accessLine would, so the
- * counters derived from it are bitwise identical; only the reference
- * interpreter's own Cache instances accumulate internal hit/miss
- * statistics, which nothing outside the machine observes.
+ * Per-lane half of the fast tier's timing state: every structure whose
+ * outcome depends on a lane's own data addresses or noise stream.  The
+ * front end (fetch groups, predictor, BTB, ITLB) is shared by all
+ * lanes of a batch, and so is the L1I — lane 0's — while no lane takes
+ * interrupts (an interrupt evicts L1I sets of its own lane only).
  */
-struct ShadowCache
+struct LaneState
 {
-    unsigned shift;
-    unsigned ways;
-    std::uint64_t setMask;
-    /** slots[set * ways + way] = (tag << 1) | 1, MRU-first; 0 empty. */
-    std::vector<std::uint64_t> slots;
-
-    explicit ShadowCache(const uarch::CacheConfig &c)
-        : shift(floorLog2(c.lineBytes)), ways(c.ways), setMask(c.sets - 1),
-          slots(std::size_t(c.sets) * c.ways, 0)
+    LaneState(const MachineConfig &c, unsigned sb_entries,
+              std::size_t sb_index_size, const NoiseModel &n)
+        : icache(c.icache), dcache(c.dcache), l2(c.l2), dtlb(c.dtlb),
+          sbMasked(sb_entries, ~std::uint64_t(0)), sbAddr(sb_entries, 0),
+          sbSize(sb_entries, 0), sbIcount(sb_entries, 0),
+          sbIndex(sb_index_size, 0), noise(n),
+          noiseRng(n.seed ^ 0x05e1f00dULL), dvfsRng(n.seed ^ 0xd7f5c10cULL)
     {
     }
 
-    bool access(Addr addr)
-    {
-        const std::uint64_t tag = addr >> shift;
-        const std::uint64_t key = (tag << 1) | 1;
-        std::uint64_t *base = slots.data() + std::size_t(tag & setMask) * ways;
-        for (unsigned w = 0; w < ways; ++w) {
-            if (base[w] == key) {
-                for (unsigned k = w; k > 0; --k)
-                    base[k] = base[k - 1];
-                base[0] = key;
-                return true;
-            }
-        }
-        for (unsigned k = ways - 1; k > 0; --k)
-            base[k] = base[k - 1];
-        base[0] = key;
-        return false;
-    }
+    ShadowCache icache;
+    ShadowCache dcache;
+    ShadowCache l2;
+    ShadowTlb dtlb;
 
-    /** Twin of uarch::Cache::invalidateSet: clearing valid bits there
-     *  is observationally identical to zeroing the packed slots here —
-     *  a stale tag can never hit again, and invalid ways shift through
-     *  the MRU order exactly like empty ones. */
-    void invalidateSet(std::uint64_t set)
-    {
-        std::uint64_t *base = slots.data() + std::size_t(set & setMask) * ways;
-        for (unsigned w = 0; w < ways; ++w)
-            base[w] = 0;
-    }
-};
+    // Store-buffer twin in SoA layout: same ring order, same head
+    // rotation, same expiry and forwarding rules as StoreBuffer, but
+    // the masked addresses sit in their own dense array, so the common
+    // no-possible-alias case is one branchless scan of it; only a
+    // masked match runs the exact per-entry check.  ~0 marks an empty
+    // slot (masked addresses are <= the alias mask, so it never
+    // matches).  sbIndex[m] is the bitmap of ring slots holding masked
+    // address m; the ring head lives with the lane clocks (see
+    // runPlanImpl).
+    std::vector<std::uint64_t> sbMasked;
+    std::vector<Addr> sbAddr;
+    std::vector<std::uint32_t> sbSize;
+    std::vector<std::uint64_t> sbIcount;
+    std::vector<std::uint32_t> sbIndex;
 
-/** Fast-path twin of uarch::Tlb (fully associative, LRU): one packed
- *  (vpn << 1) | valid word per entry, same MRU-ordered decisions. */
-struct ShadowTlb
-{
-    unsigned entries;
-    std::vector<std::uint64_t> slots; ///< MRU-first; 0 empty
+    PerfCounters ctrs; ///< lane-dependent events only
+    Addr lastCodeLine = ~Addr(0); ///< L1I reuse, when not shared
+    std::uint64_t stackDelta = 0; ///< initialSp - lane 0's initialSp
 
-    explicit ShadowTlb(const uarch::TlbConfig &c)
-        : entries(c.entries), slots(c.entries, 0)
-    {
-    }
+    NoiseModel noise;
+    Rng noiseRng;
+    Cycles nextInterrupt = ~Cycles(0);
+    Rng dvfsRng;
+    Cycles nextDvfs = ~Cycles(0);
 
-    bool touch(std::uint64_t vpn)
+    std::uint64_t bytes() const
     {
-        const std::uint64_t key = (vpn << 1) | 1;
-        std::uint64_t *s = slots.data();
-        for (unsigned e = 0; e < entries; ++e) {
-            if (s[e] == key) {
-                for (unsigned k = e; k > 0; --k)
-                    s[k] = s[k - 1];
-                s[0] = key;
-                return true;
-            }
-        }
-        for (unsigned k = entries - 1; k > 0; --k)
-            s[k] = s[k - 1];
-        s[0] = key;
-        return false;
-    }
-
-    unsigned accessVpns(std::uint64_t first_vpn, std::uint64_t last_vpn)
-    {
-        unsigned miss_count = 0;
-        if (!touch(first_vpn))
-            ++miss_count;
-        if (last_vpn != first_vpn && !touch(last_vpn))
-            ++miss_count;
-        return miss_count;
+        return sizeof(*this) + icache.bytes() + dcache.bytes() + l2.bytes() +
+               dtlb.bytes() +
+               sbMasked.size() * (2 * sizeof(std::uint64_t) + sizeof(Addr) +
+                                  sizeof(std::uint32_t)) +
+               sbIndex.size() * sizeof(std::uint32_t);
     }
 };
 
@@ -182,9 +145,7 @@ activeSimTierDescription()
 #else
     if (referenceForcedByEnv())
         return "reference (MBIAS_SIM_REFERENCE set)";
-    if (replayDisabledByEnv())
-        return "fast (replay: MBIAS_SIM_REPLAY=0)";
-    return "fast + replay";
+    return "fast + lanes";
 #endif
 }
 
@@ -374,16 +335,17 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
              const NoiseModel &noise, Profile *profile,
              Attribution *attribution)
 {
-#if MBIAS_SIM_FASTPATH_ENABLED
-    // The fast tier handles the common campaign case: deterministic,
-    // unprofiled runs.  Noise injection, per-function profiling, and
-    // per-set attribution read per-instruction state the fast lanes
-    // skip, so those runs stay on the reference interpreter.
-    if (useFastPath_ && !noise.active() && !profile && !attribution &&
-        !referenceForcedByEnv())
-        return runFast(image, max_insts,
-                       *PlanCache::global().get(image.program));
-#endif
+    // The fast tier takes every run that asks for no per-instruction
+    // observation: per-function profiling and per-set attribution read
+    // state the plan loop does not keep, so those runs stay here.  A
+    // noisy run is a batch of one lane.
+    if (!profile && !attribution && fastTierUsable()) {
+        const Lane lane{&image, noise};
+        RunResult rr;
+        runBatch(&lane, 1, max_insts,
+                 *PlanCache::global().get(image.program), &rr);
+        return rr;
+    }
 
     // Noise invalidations bypass the attribution occupancy mirror;
     // the combination has no use case, so reject it outright.
@@ -853,112 +815,100 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
 }
 
 
-RunResult
-Machine::runFast(const toolchain::ProcessImage &image,
-                 std::uint64_t max_insts, const ExecutionPlan &plan)
+
+bool
+Machine::fastTierUsable() const
 {
-    if (config_.core == CoreKind::InOrder)
-        return runPlanImpl<RunMode::Normal, InOrderCore>(
-            image, max_insts, plan, NoiseModel::none(), nullptr, nullptr);
-    return runPlanImpl<RunMode::Normal, OooCore>(
-        image, max_insts, plan, NoiseModel::none(), nullptr, nullptr);
+#if MBIAS_SIM_FASTPATH_ENABLED
+    return useFastPath_ && !referenceForcedByEnv();
+#else
+    return false;
+#endif
 }
 
-RunResult
-Machine::runRecord(const toolchain::ProcessImage &image,
-                   std::uint64_t max_insts, const NoiseModel &noise,
-                   std::shared_ptr<const FunctionalTrace> *out)
+std::vector<RunResult>
+Machine::runLanes(const std::vector<Lane> &lanes, std::uint64_t max_insts)
 {
-    mbias_assert(out, "runRecord needs a trace sink");
-    *out = nullptr;
-    if (replayTierUsable(*this)) {
+    std::vector<RunResult> out(lanes.size());
+    if (lanes.empty())
+        return out;
+    if (!fastTierUsable()) {
+        for (std::size_t i = 0; i < lanes.size(); ++i)
+            out[i] = run(*lanes[i].image, max_insts, lanes[i].noise);
+        return out;
+    }
+    const auto plan = PlanCache::global().get(lanes[0].image->program);
+    for (std::size_t b = 0; b < lanes.size(); b += kLaneWidth) {
+        const unsigned n =
+            unsigned(std::min<std::size_t>(kLaneWidth, lanes.size() - b));
+        // The batch span keeps the retired record/replay tier's name,
+        // which the repo benchmark reads as sim.record_s.
         obs::ScopedSpan span("replay-record", "sim");
-        const auto plan = PlanCache::global().get(image.program);
-        auto trace = std::make_shared<FunctionalTrace>();
-        trace->program = image.program;
-        trace->gp = image.gp;
-        trace->heapBase = image.heapBase;
-        trace->entryIdx = image.entryIdx;
-        trace->budget = max_insts;
-        trace->recordedSp = image.initialSp;
-        trace->stackBoundary = image.stackTop >> 1;
-        RunResult rr;
-        if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<RunMode::Record, InOrderCore>(
-                image, max_insts, *plan, noise, trace.get(), nullptr);
-        else
-            rr = runPlanImpl<RunMode::Record, OooCore>(
-                image, max_insts, *plan, noise, trace.get(), nullptr);
-        ReplayCache::global().noteRecord();
-        if (!trace->aborted)
-            *out = std::move(trace);
-        return rr;
+        const std::uint64_t bytes =
+            runBatch(&lanes[b], n, max_insts, *plan, &out[b]);
+        ReplayCache::global().noteLaneBatch(n, bytes);
     }
-    return run(image, max_insts, noise);
+    return out;
 }
 
-RunResult
-Machine::runReplay(const toolchain::ProcessImage &image,
-                   std::uint64_t max_insts, const NoiseModel &noise,
-                   const FunctionalTrace &trace)
+std::uint64_t
+Machine::runBatch(const Lane *lanes, unsigned n, std::uint64_t max_insts,
+                  const ExecutionPlan &plan, RunResult *out)
 {
-    if (replayTierUsable(*this)) {
-        mbias_assert(trace.matches(image, max_insts),
-                     "replaying a trace against a mismatched image");
-        const auto plan = PlanCache::global().get(image.program);
-        RunResult rr;
-        if (config_.core == CoreKind::InOrder)
-            rr = runPlanImpl<RunMode::Replay, InOrderCore>(
-                image, max_insts, *plan, noise, nullptr, &trace);
-        else
-            rr = runPlanImpl<RunMode::Replay, OooCore>(
-                image, max_insts, *plan, noise, nullptr, &trace);
-        ReplayCache::global().noteReplay();
-        return rr;
-    }
-    return run(image, max_insts, noise);
+    const bool batch =
+        n > 1 || std::any_of(lanes, lanes + n, [](const Lane &lane) {
+            return lane.noise.active();
+        });
+    if (config_.core == CoreKind::InOrder)
+        return batch ? runPlanImpl<true, InOrderCore>(lanes, n, max_insts,
+                                                      plan, out)
+                     : runPlanImpl<false, InOrderCore>(lanes, n, max_insts,
+                                                       plan, out);
+    return batch
+               ? runPlanImpl<true, OooCore>(lanes, n, max_insts, plan, out)
+               : runPlanImpl<false, OooCore>(lanes, n, max_insts, plan, out);
 }
 
-template <Machine::RunMode Mode, class Core>
-RunResult
-Machine::runPlanImpl(const toolchain::ProcessImage &image,
-                     std::uint64_t max_insts, const ExecutionPlan &plan,
-                     const NoiseModel &noise, FunctionalTrace *rec,
-                     const FunctionalTrace *rep)
+template <bool kBatch, class Core>
+std::uint64_t
+Machine::runPlanImpl(const Lane *lanes, unsigned n, std::uint64_t max_insts,
+                     const ExecutionPlan &plan, RunResult *out)
 {
-    // The contract of this function is bitwise equality with the
-    // reference interpreter above (noise disabled, no profile): it
-    // performs the same component accesses in the same order with the
-    // same arguments, so every counter and the cycle count match
-    // exactly.  What changes is the bookkeeping around them:
+    // The contract of this function is bitwise equality, lane by lane,
+    // with the reference interpreter above: for each lane it performs
+    // the same component accesses in the same order with the same
+    // arguments, so every counter and the cycle count match exactly.
+    // What changes is the bookkeeping around them:
     //
     //  - dense pre-decoded operands (DecodedOp) instead of PlacedInst
     //    records, and an O(1) return-address table;
     //  - direct-threaded dispatch: every handler ends with its own
     //    computed goto, so the host branch predictor learns per-opcode
     //    successor patterns instead of sharing one switch jump;
-    //  - the uarch components' header-inline hot twins (accessLineHot,
-    //    accessVpnsHot, recordStoreHot, ...), devirtualized predictor
+    //  - packed shadow caches/TLBs (sim/shadow.hh), the uarch
+    //    components' header-inline hot twins, devirtualized predictor
     //    calls, and hot config fields hoisted into locals;
     //  - functional memory through a small direct-mapped table of page
     //    pointers instead of a hash lookup per access.
     //
-    // Mode extends the same loop to the record/replay tier
-    // (sim/replay.hh).  Record runs normally (noise allowed — the
-    // reference's OS-interrupt model is transcribed below) while
-    // appending branch outcomes, Ret targets and resolved memory
-    // addresses to *rec.  Replay consumes those streams from *rep
-    // instead of executing functionally: control flow comes from the
-    // branch bits and Ret targets, memory addresses from the stream
-    // (stack ones rebased by the image-vs-recording sp delta), and
-    // every value computation is dead — only the timing models run.
-    // Mode conditionals are plain ifs on a constant, so the Normal
-    // instantiations fold them away.
+    // kBatch runs n lanes in lockstep.  Lanes share everything that is
+    // a function of the instruction stream alone: the functional
+    // execution (lane 0's image; the others differ only in initialSp,
+    // so their stack addresses are lane 0's plus their sp delta), the
+    // fetch groups, predictor, BTB, ITLB, and — with no interrupts —
+    // the L1I.  Each lane keeps its own clock, register-ready times,
+    // L1D/L2/DTLB/store buffer and noise streams.  A lane's clock is
+    // `base + own[l]`: charges every lane pays alike go to base once,
+    // lane-dependent ones to own[l], so at every comparison point a
+    // lane sees exactly the cycle count its own reference run has.
+    // Without kBatch, n == 1, no noise, and the lane loops and the
+    // base/own split fold away.
     //
     // Keep every simulated effect in lockstep with run() when touching
-    // any tier.
-    constexpr bool kRecord = Mode == RunMode::Record;
-    constexpr bool kReplay = Mode == RunMode::Replay;
+    // either interpreter.
+    constexpr unsigned W = kBatch ? kLaneWidth : 1;
+    const unsigned nl = kBatch ? n : 1;
+    mbias_assert(n >= 1 && n <= W, "lane batch of ", n);
 
     // Only the components the fast loop actually drives need a reset:
     // the predictor and BTB are shared with the reference path (their
@@ -968,24 +918,28 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     predictor_->reset();
     btb_.reset();
 
+    const toolchain::ProcessImage &image = *lanes[0].image;
     const toolchain::LinkedProgram &prog = image.prog();
     mbias_assert(!prog.code.empty(), "empty program");
     mbias_assert(plan.ops.size() == prog.code.size(),
                  "execution plan does not match the program");
-
-    RunResult rr;
-    PerfCounters &ctrs = rr.counters;
+    for (unsigned l = 1; l < nl; ++l) {
+        const toolchain::ProcessImage &other = *lanes[l].image;
+        mbias_assert(other.program.get() == image.program.get() &&
+                         other.gp == image.gp &&
+                         other.heapBase == image.heapBase &&
+                         other.entryIdx == image.entryIdx,
+                     "lanes of one batch must share program and layout "
+                     "outside the stack");
+    }
 
     SparseMemory mem;
-    if (!kReplay) // replay never reads or writes functional memory
-        mem.writeBlock(prog.dataBase, prog.dataInit);
+    mem.writeBlock(prog.dataBase, prog.dataInit);
 
     std::array<std::uint64_t, isa::reg::numRegs> regs{};
     regs[isa::reg::sp] = image.initialSp;
     regs[isa::reg::gp] = image.gp;
     regs[isa::reg::hp] = image.heapBase;
-
-    Pipeline pipe;
 
     // Hot configuration, hoisted: the reference re-reads these through
     // config_ around opaque calls; here they live in registers.
@@ -1016,6 +970,7 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     const bool btb_on = config_.enableBtb;
     const Cycles mispredict_pen = config_.branchMispredictPenalty;
     const Cycles btb_miss_pen = config_.btbMissPenalty;
+    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
 
     // The predictor's concrete type is fixed by the config the
     // instance was built from; resolve it once so every branch calls
@@ -1027,82 +982,87 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     else
         bimodal = static_cast<uarch::BimodalPredictor *>(predictor_.get());
 
-    // Packed-layout twins of the caches and TLBs (see ShadowCache):
-    // freshly constructed = freshly reset, so their access outcomes —
-    // the only thing the counters observe — match the reference's
-    // components access for access.
-    ShadowCache s_icache(config_.icache);
-    ShadowCache s_dcache(config_.dcache);
-    ShadowCache s_l2(config_.l2);
-    ShadowTlb s_itlb(config_.itlb);
-    ShadowTlb s_dtlb(config_.dtlb);
-
-    // Store-buffer twin in SoA layout: same ring order, same head
-    // rotation, same expiry and forwarding rules as StoreBuffer, but
-    // the masked addresses sit in their own dense array, so the common
-    // no-possible-alias case is one branchless scan of it; only a
-    // masked match runs the exact per-entry check.  ~0 marks an empty
-    // slot (masked addresses are <= alias_mask, so it never matches).
     const unsigned sb_entries = storeBuffer_.entries();
     const std::uint64_t alias_mask = storeBuffer_.aliasMask();
     const std::uint64_t sb_max_age = storeBuffer_.maxAge();
-    std::vector<std::uint64_t> sb_masked(sb_entries, ~std::uint64_t(0));
-    std::vector<Addr> sb_addr(sb_entries, 0);
-    std::vector<std::uint32_t> sb_size(sb_entries, 0);
-    std::vector<std::uint64_t> sb_icount(sb_entries, 0);
-    unsigned sb_head = 0;
     const bool sb_bitmap_ok = sb_entries <= 32; ///< bitmap fits a word
-
-    // Inverted index over the masked addresses: sb_index[m] is the
-    // bitmap of ring slots currently holding masked address m, kept
-    // incrementally by the store path.  It turns the per-load scan of
-    // all slots into one table read; the bit order is ring-slot order,
-    // so the first-match walk below is unchanged.  Only worth the
-    // table for the realistic alias-window sizes (<= 16 bits).
+    // Inverted index over the masked addresses, kept incrementally by
+    // the store path.  It turns the per-load scan of all slots into one
+    // table read; the bit order is ring-slot order, so the first-match
+    // walk below is unchanged.  Only worth the table for the realistic
+    // alias-window sizes (<= 16 bits).
     const bool sb_index_ok =
         sb_bitmap_ok && alias_mask < (std::uint64_t(1) << 16);
-    std::vector<std::uint32_t> sb_index(
-        sb_index_ok ? std::size_t(alias_mask) + 1 : 0, 0);
 
-    // Exact transcription of StoreBuffer::loadAliases over the shadow
-    // arrays: the first live, unexpired, masked-matching entry in ring
-    // order decides (clean covering forwarding is free, anything else
-    // stalls), exactly as the reference scan does.
-    auto sb_aliases = [&](Addr addr, unsigned size)
-        __attribute__((noinline)) -> bool {
-        const std::uint64_t want = addr & alias_mask;
-        for (unsigned i = 0; i < sb_entries; ++i) {
-            if (sb_masked[i] != want ||
-                sb_icount[i] + sb_max_age < pipe.icount)
-                continue;
-            return !(sb_addr[i] == addr && sb_size[i] >= size);
-        }
-        return false;
+    // Per-lane shadows: freshly constructed = freshly reset, so their
+    // access outcomes — the only thing the counters observe — match
+    // each lane's reference components access for access.
+    std::vector<LaneState> lane_state;
+    lane_state.reserve(nl);
+    bool noise_on = false, dvfs_on = false;
+    for (unsigned l = 0; l < nl; ++l) {
+        lane_state.emplace_back(config_, sb_entries,
+                                sb_index_ok ? std::size_t(alias_mask) + 1
+                                            : 0,
+                                lanes[l].noise);
+        lane_state[l].stackDelta =
+            lanes[l].image->initialSp - image.initialSp; // mod 2^64
+        noise_on |= kBatch && lanes[l].noise.enabled;
+        dvfs_on |= kBatch && lanes[l].noise.dvfsEnabled;
+    }
+    LaneState *const L = lane_state.data();
+    // Stack-region addresses: half of lane 0's stack top lies far above
+    // any data/heap address and far below any stack address, for every
+    // preset layout.
+    const Addr stack_boundary = image.stackTop >> 1;
+    const bool icache_shared = !noise_on;
+    ShadowTlb s_itlb(config_.itlb);
+
+    // Lane clocks (see above) and register-ready times, lane-minor so
+    // one instruction's lane loop walks contiguous words.
+    Cycles base = 0;
+    std::array<Cycles, W> own{};
+    std::array<Cycles, W> stall{}; ///< StallCycles per lane
+    std::array<std::array<Cycles, W>, isa::reg::numRegs> ready{};
+    std::array<unsigned, W> sb_head{}; ///< store-buffer ring heads
+    PerfCounters shared; ///< lane-invariant events, counted once
+
+    auto now = [&](unsigned l) __attribute__((always_inline)) -> Cycles {
+        if constexpr (kBatch)
+            return base + own[l];
+        else
+            return own[0];
+    };
+    auto charge_all = [&](Cycles c) __attribute__((always_inline)) {
+        if constexpr (kBatch)
+            base += c;
+        else
+            own[0] += c;
+    };
+    auto lane_addr = [&](unsigned l, Addr a)
+        __attribute__((always_inline)) -> Addr {
+        if constexpr (kBatch)
+            return a >= stack_boundary ? a + L[l].stackDelta : a;
+        else
+            return a;
     };
 
-    auto set_reg = [&](isa::Reg rd, std::uint64_t v, Cycles ready)
+    auto wait_for = [&](unsigned l, isa::Reg r)
         __attribute__((always_inline)) {
-        if (rd != isa::reg::zero) {
-            if (!kReplay) // replay tracks readiness, never values
-                regs[rd] = v;
-            pipe.regReady[rd] = ready;
-        }
-    };
-    auto wait_for = [&](isa::Reg r) __attribute__((always_inline)) {
-        const Cycles ready = pipe.regReady[r];
-        if (ready > pipe.now) {
-            const Cycles stall = ready - pipe.now;
+        const Cycles t = now(l);
+        const Cycles ready_at = ready[r][l];
+        if (ready_at > t) {
+            const Cycles s = ready_at - t;
             // CoreModel policy: in-order cores expose the whole stall,
-            // the OoO window hides up to ooo_window of it.  The OoO
-            // branch is token-identical to the pre-backend-layer code.
+            // the OoO window hides up to ooo_window of it.
             Cycles exposed;
             if constexpr (Core::kInOrder)
-                exposed = stall;
+                exposed = s;
             else
-                exposed = stall - std::min<Cycles>(stall, ooo_window);
+                exposed = s - std::min<Cycles>(s, ooo_window);
             if (exposed) {
-                pipe.now += exposed;
-                ctrs.inc(Counter::StallCycles, exposed);
+                own[l] += exposed;
+                stall[l] += exposed;
             }
         }
     };
@@ -1110,40 +1070,62 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // multi-cycle ALU op (busy cycles are exposed stalls, the result
     // is ready right after issue resumes); OoO cores just tag the
     // result with its latency and let wait_for settle it.
-    auto alu_ready = [&](Cycles lat)
+    auto alu_ready = [&](unsigned l, Cycles lat)
         __attribute__((always_inline)) -> Cycles {
         if constexpr (Core::kInOrder) {
             if (lat > 1) {
-                pipe.now += lat - 1;
-                ctrs.inc(Counter::StallCycles, lat - 1);
-                return pipe.now + 1;
+                own[l] += lat - 1;
+                stall[l] += lat - 1;
+                return now(l) + 1;
             }
         }
-        return pipe.now + lat;
+        return now(l) + lat;
     };
     // CoreModel policy: in-order front ends refetch when a taken
     // transfer lands inside a fetch block rather than at its start.
-    const Cycles fetch_realign_pen = config_.fetchRealignPenalty;
     auto redirect_realign = [&](Addr target)
         __attribute__((always_inline)) {
         if constexpr (Core::kInOrder) {
             if (model_blocks && (target & (fetch_block_bytes - 1)) != 0)
-                pipe.now += fetch_realign_pen;
+                charge_all(fetch_realign_pen);
         } else {
             (void)target;
         }
     };
 
+    // Front-end state, shared by every lane.
+    unsigned group_slots = 0;
+    Addr group_block_end = 0;
+    bool force_new_group = true;
+    Addr last_code_line = ~Addr(0);
+    Addr last_code_page = ~Addr(0);
+
     // Sequential fetch mostly stays within the current line and page;
     // the new-line / new-page work is kept out of line so only the
-    // cheap comparisons are replicated per dispatch site.
+    // cheap comparisons are replicated per dispatch site.  A shared
+    // L1I miss costs every lane the same, but the L2 behind it is each
+    // lane's own.
     auto icache_touch = [&](Addr line) __attribute__((noinline)) {
-        if (!s_icache.access(line)) {
-            ctrs.inc(Counter::IcacheMisses);
-            pipe.now += i_miss_pen;
-            if (!s_l2.access(line)) {
-                ctrs.inc(Counter::L2Misses);
-                pipe.now += l2_miss_pen;
+        if (!L[0].icache.access(line)) {
+            shared.inc(Counter::IcacheMisses);
+            charge_all(i_miss_pen);
+            for (unsigned l = 0; l < nl; ++l) {
+                if (!L[l].l2.access(line)) {
+                    L[l].ctrs.inc(Counter::L2Misses);
+                    own[l] += l2_miss_pen;
+                }
+            }
+        }
+    };
+    auto lane_icache_touch = [&](unsigned l, Addr line)
+        __attribute__((noinline)) {
+        LaneState &s = L[l];
+        if (!s.icache.access(line)) {
+            s.ctrs.inc(Counter::IcacheMisses);
+            own[l] += i_miss_pen;
+            if (!s.l2.access(line)) {
+                s.ctrs.inc(Counter::L2Misses);
+                own[l] += l2_miss_pen;
             }
         }
     };
@@ -1151,8 +1133,8 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         const unsigned misses = s_itlb.accessVpns(
             pc >> ipage_shift, (pc + size - 1) >> ipage_shift);
         if (misses) {
-            ctrs.inc(Counter::ItlbMisses, misses);
-            pipe.now += misses * itlb_miss_pen;
+            shared.inc(Counter::ItlbMisses, misses);
+            charge_all(misses * itlb_miss_pen);
         }
     };
 
@@ -1160,70 +1142,99 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     // ITLB page number reduces to a shift for power-of-two page sizes
     // where the reference divides every instruction.
     auto fetch = [&](Addr pc, unsigned size) __attribute__((always_inline)) {
-        const bool new_group = pipe.forceNewGroup || pipe.groupSlots == 0 ||
-                               (model_blocks && pc >= pipe.groupBlockEnd);
+        const bool new_group = force_new_group || group_slots == 0 ||
+                               (model_blocks && pc >= group_block_end);
         if (new_group) {
-            pipe.now += 1;
-            ctrs.inc(Counter::FetchGroups);
-            pipe.groupSlots = fetch_width;
-            pipe.groupBlockEnd =
+            charge_all(1);
+            shared.inc(Counter::FetchGroups);
+            group_slots = fetch_width;
+            group_block_end =
                 model_blocks
                     ? alignDown(pc, fetch_block_bytes) + fetch_block_bytes
                     : ~Addr(0);
-            pipe.forceNewGroup = false;
+            force_new_group = false;
         }
-        pipe.groupSlots -= 1;
-        if (model_blocks && pc + size > pipe.groupBlockEnd)
-            pipe.groupSlots = 0;
+        group_slots -= 1;
+        if (model_blocks && pc + size > group_block_end)
+            group_slots = 0;
 
         if (caches_on) {
             const Addr first = alignDown(pc, iline);
             const Addr last = alignDown(pc + size - 1, iline);
             for (Addr line = first; line <= last; line += iline) {
-                if (line == pipe.lastCodeLine)
+                if (kBatch && !icache_shared) {
+                    for (unsigned l = 0; l < nl; ++l) {
+                        if (line != L[l].lastCodeLine) {
+                            L[l].lastCodeLine = line;
+                            lane_icache_touch(l, line);
+                        }
+                    }
                     continue;
-                pipe.lastCodeLine = line;
+                }
+                if (line == last_code_line)
+                    continue;
+                last_code_line = line;
                 icache_touch(line);
             }
         }
         if (tlbs_on) {
             const Addr page = pc >> ipage_shift;
-            if (page != pipe.lastCodePage) {
-                pipe.lastCodePage = page;
+            if (page != last_code_page) {
+                last_code_page = page;
                 itlb_touch(pc, size);
             }
         }
     };
 
     // L1D miss path (L2, optional next-line prefetch), out of line.
-    auto dcache_miss = [&](Addr line) __attribute__((noinline)) -> Cycles {
+    auto dcache_miss = [&](LaneState &s, Addr line)
+        __attribute__((noinline)) -> Cycles {
         Cycles lat = d_miss_pen;
-        if (!s_l2.access(line)) {
-            ctrs.inc(Counter::L2Misses);
+        if (!s.l2.access(line)) {
+            s.ctrs.inc(Counter::L2Misses);
             lat += l2_miss_pen;
         }
         if (prefetch_on) {
             // Background fill of the next line; no demand latency, but
             // it can pollute (and be perturbed by) set placement.
-            ctrs.inc(Counter::PrefetchesIssued);
-            s_dcache.access(line + dline);
-            s_l2.access(line + dline);
+            s.ctrs.inc(Counter::PrefetchesIssued);
+            s.dcache.access(line + dline);
+            s.l2.access(line + dline);
         }
         return lat;
     };
 
-    // Transcription of memoryAccess(): same component accesses in the
-    // same order, through the inline hot twins.  is_store is constant
-    // at every call site, so the branches fold away.
-    auto mem_access = [&](Addr addr, unsigned size, bool is_store)
+    // Exact transcription of StoreBuffer::loadAliases over the shadow
+    // arrays: the first live, unexpired, masked-matching entry in ring
+    // order decides (clean covering forwarding is free, anything else
+    // stalls), exactly as the reference scan does.
+    auto sb_aliases = [&](const LaneState &s, Addr addr, unsigned size,
+                          std::uint64_t icount)
+        __attribute__((noinline)) -> bool {
+        const std::uint64_t want = addr & alias_mask;
+        for (unsigned i = 0; i < sb_entries; ++i) {
+            if (s.sbMasked[i] != want || s.sbIcount[i] + sb_max_age < icount)
+                continue;
+            return !(s.sbAddr[i] == addr && s.sbSize[i] >= size);
+        }
+        return false;
+    };
+
+    // Transcription of memoryAccess() for lane @p l at the lane's own
+    // address: same component accesses in the same order, through the
+    // lane's shadows.  is_store is constant at every call site, so the
+    // branches fold away.
+    auto mem_access = [&](unsigned l, Addr addr, unsigned size,
+                          bool is_store, std::uint64_t icount)
         __attribute__((always_inline)) -> Cycles {
+        LaneState &s = L[l];
         Cycles lat = is_store ? 0 : d_hit_lat;
 
         if (tlbs_on) {
-            const unsigned misses = s_dtlb.accessVpns(
+            const unsigned misses = s.dtlb.accessVpns(
                 addr >> dpage_shift, (addr + size - 1) >> dpage_shift);
             if (misses) {
-                ctrs.inc(Counter::DtlbMisses, misses);
+                s.ctrs.inc(Counter::DtlbMisses, misses);
                 lat += misses * dtlb_miss_pen;
             }
         }
@@ -1232,14 +1243,14 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         const Addr last = alignDown(addr + size - 1, dline);
         if (caches_on) {
             for (Addr line = first; line <= last; line += dline) {
-                if (!s_dcache.access(line)) {
-                    ctrs.inc(Counter::DcacheMisses);
-                    lat += dcache_miss(line);
+                if (!s.dcache.access(line)) {
+                    s.ctrs.inc(Counter::DcacheMisses);
+                    lat += dcache_miss(s, line);
                 }
             }
         }
         if (last != first) {
-            ctrs.inc(Counter::LineSplits);
+            s.ctrs.inc(Counter::LineSplits);
             if (split_pen_on)
                 lat += split_pen;
         }
@@ -1249,20 +1260,19 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
             // extra cycle (a structural resource the OoO window cannot
             // hide).
             if (last != first && split_pen_on)
-                pipe.now += 1;
+                own[l] += 1;
+            const unsigned h = sb_head[l];
             if (sb_index_ok) {
-                const std::uint64_t old = sb_masked[sb_head];
+                const std::uint64_t old = s.sbMasked[h];
                 if (old != ~std::uint64_t(0))
-                    sb_index[old] &= ~(std::uint32_t(1) << sb_head);
-                sb_index[addr & alias_mask] |=
-                    std::uint32_t(1) << sb_head;
+                    s.sbIndex[old] &= ~(std::uint32_t(1) << h);
+                s.sbIndex[addr & alias_mask] |= std::uint32_t(1) << h;
             }
-            sb_masked[sb_head] = addr & alias_mask;
-            sb_addr[sb_head] = addr;
-            sb_size[sb_head] = size;
-            sb_icount[sb_head] = pipe.icount;
-            if (++sb_head == sb_entries)
-                sb_head = 0;
+            s.sbMasked[h] = addr & alias_mask;
+            s.sbAddr[h] = addr;
+            s.sbSize[h] = size;
+            s.sbIcount[h] = icount;
+            sb_head[l] = h + 1 == sb_entries ? 0 : h + 1;
             return 0; // the store buffer otherwise hides store latency
         }
         if (sb_alias_on) {
@@ -1276,9 +1286,9 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 // continues).
                 std::uint32_t match;
                 if (sb_index_ok) {
-                    match = sb_index[want];
+                    match = s.sbIndex[want];
                 } else {
-                    const std::uint64_t *sbm = sb_masked.data();
+                    const std::uint64_t *sbm = s.sbMasked.data();
                     match = 0;
                     for (unsigned i = 0; i < sb_entries; ++i)
                         match |= std::uint32_t(sbm[i] == want) << i;
@@ -1286,16 +1296,16 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 while (match) {
                     const unsigned i = unsigned(std::countr_zero(match));
                     match &= match - 1;
-                    if (sb_icount[i] + sb_max_age >= pipe.icount) {
-                        if (!(sb_addr[i] == addr && sb_size[i] >= size)) {
-                            ctrs.inc(Counter::AliasStalls);
+                    if (s.sbIcount[i] + sb_max_age >= icount) {
+                        if (!(s.sbAddr[i] == addr && s.sbSize[i] >= size)) {
+                            s.ctrs.inc(Counter::AliasStalls);
                             lat += alias_pen;
                         }
                         break;
                     }
                 }
-            } else if (sb_aliases(addr, size)) {
-                ctrs.inc(Counter::AliasStalls);
+            } else if (sb_aliases(s, addr, size, icount)) {
+                s.ctrs.inc(Counter::AliasStalls);
                 lat += alias_pen;
             }
         }
@@ -1387,140 +1397,57 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
         mem.write(addr, size, value);
     };
 
-    // OS-interrupt noise, transcribed from the reference loop: same
-    // RNG stream (one nextDouble per schedule, two next() per evicted
-    // line pair), same schedule arithmetic, same eviction order
-    // (dcache set then icache set), same lastCodeLine reset — so noisy
-    // record/replay runs are bitwise identical to the reference.
-    // Normal-mode runs are gated noise-free by run(), so noise_on
-    // folds to false there and the checks vanish.
-    Rng noise_rng(noise.seed ^ 0x05e1f00dULL);
-    Cycles next_interrupt = ~Cycles(0);
-    const bool noise_on = Mode != RunMode::Normal && noise.enabled;
-    const Cycles noise_cost = noise.costCycles;
-    const unsigned noise_evict = noise.linesEvictedPerInterrupt;
-    auto schedule_interrupt = [&](Cycles from) {
-        const double jitter = 0.5 + noise_rng.nextDouble();
-        next_interrupt =
-            from + Cycles(double(noise.meanIntervalCycles) * jitter);
+    // OS-interrupt noise and DVFS steps per lane, transcribed from the
+    // reference loop: same RNG streams (one nextDouble per schedule,
+    // two next() per evicted line pair, one nextDouble per DVFS step),
+    // same schedule arithmetic, same eviction order (dcache set then
+    // icache set), same lastCodeLine reset, interrupt before DVFS.  A
+    // lane whose model is off never schedules, so its next event stays
+    // at ~0.  next_event[l] caches the earlier of a lane's two.
+    std::array<Cycles, W> next_event;
+    next_event.fill(~Cycles(0));
+    auto schedule_interrupt = [&](LaneState &s, Cycles from) {
+        const double jitter = 0.5 + s.noiseRng.nextDouble();
+        s.nextInterrupt =
+            from + Cycles(double(s.noise.meanIntervalCycles) * jitter);
     };
-    auto do_interrupt = [&]() __attribute__((noinline)) {
-        ctrs.inc(Counter::OsInterrupts);
-        pipe.now += noise_cost;
-        for (unsigned e = 0; e < noise_evict; ++e) {
-            s_dcache.invalidateSet(noise_rng.next());
-            s_icache.invalidateSet(noise_rng.next());
-        }
-        pipe.lastCodeLine = ~Addr(0); // force an icache re-access
-        schedule_interrupt(pipe.now);
+    auto schedule_dvfs = [&](LaneState &s, Cycles from) {
+        const double jitter = 0.5 + s.dvfsRng.nextDouble();
+        s.nextDvfs =
+            from + Cycles(double(s.noise.dvfsMeanIntervalCycles) * jitter);
     };
-    if (noise_on)
-        schedule_interrupt(0);
-
-    // DVFS frequency steps, transcribed from the reference loop: same
-    // independent RNG stream (one nextDouble per schedule, one per
-    // step), same lump charge, no state eviction.  Like noise_on,
-    // dvfs_on folds to false in Normal mode.
-    Rng dvfs_rng(noise.seed ^ 0xd7f5c10cULL);
-    Cycles next_dvfs = ~Cycles(0);
-    const bool dvfs_on = Mode != RunMode::Normal && noise.dvfsEnabled;
-    auto schedule_dvfs = [&](Cycles from) {
-        const double jitter = 0.5 + dvfs_rng.nextDouble();
-        next_dvfs =
-            from + Cycles(double(noise.dvfsMeanIntervalCycles) * jitter);
-    };
-    auto do_dvfs_step = [&]() __attribute__((noinline)) {
-        const double rj = 0.5 + dvfs_rng.nextDouble();
-        const Cycles residency =
-            Cycles(double(noise.dvfsMeanResidencyCycles) * rj);
-        pipe.now += noise.dvfsTransitionCycles +
-                    residency * noise.dvfsSlowdownPercent / 100;
-        schedule_dvfs(pipe.now + residency);
-    };
-    if (dvfs_on)
-        schedule_dvfs(0);
-
-    // Record-mode stream sinks.  One running byte estimate caps the
-    // footprint: past FunctionalTrace::kMaxBytes the streams stop
-    // growing, the run completes normally, and the trace is marked
-    // aborted (the caller then negative-caches the key).
-    FunctionalTrace *const ft_rec = rec;
-    std::uint64_t rec_bits = 0; ///< branch-bit accumulator, LSB first
-    unsigned rec_nbits = 0;
-    std::uint64_t rec_bytes = 0;
-    bool rec_ok = true;
-    auto rec_branch = [&](bool taken) __attribute__((always_inline)) {
-        rec_bits |= std::uint64_t(taken) << rec_nbits;
-        if (++rec_nbits == 64) {
-            if (__builtin_expect(rec_ok, 1)) {
-                ft_rec->branchBits.push_back(rec_bits);
-                rec_ok = (rec_bytes += 8) < FunctionalTrace::kMaxBytes;
+    auto lane_event = [&](unsigned l) __attribute__((noinline)) {
+        LaneState &s = L[l];
+        if (now(l) >= s.nextInterrupt) {
+            s.ctrs.inc(Counter::OsInterrupts);
+            own[l] += s.noise.costCycles;
+            for (unsigned e = 0; e < s.noise.linesEvictedPerInterrupt; ++e) {
+                s.dcache.invalidateSet(s.noiseRng.next());
+                s.icache.invalidateSet(s.noiseRng.next());
             }
-            rec_bits = 0;
-            rec_nbits = 0;
+            s.lastCodeLine = ~Addr(0); // force an icache re-access
+            schedule_interrupt(s, now(l));
         }
-        ++ft_rec->branchCount;
-    };
-    auto rec_mem = [&](Addr addr) __attribute__((always_inline)) {
-        if (__builtin_expect(rec_ok, 1)) {
-            ft_rec->memAddrs.push_back(addr);
-            rec_ok = (rec_bytes += sizeof(Addr)) <
-                     FunctionalTrace::kMaxBytes;
+        if (now(l) >= s.nextDvfs) {
+            const double rj = 0.5 + s.dvfsRng.nextDouble();
+            const Cycles residency =
+                Cycles(double(s.noise.dvfsMeanResidencyCycles) * rj);
+            own[l] += s.noise.dvfsTransitionCycles +
+                      residency * s.noise.dvfsSlowdownPercent / 100;
+            schedule_dvfs(s, now(l) + residency);
         }
+        next_event[l] = std::min(s.nextInterrupt, s.nextDvfs);
     };
-    auto rec_ret = [&](std::uint32_t target) __attribute__((always_inline)) {
-        if (__builtin_expect(rec_ok, 1)) {
-            ft_rec->retTargets.push_back(target);
-            rec_ok = (rec_bytes += 4) < FunctionalTrace::kMaxBytes;
+    const bool events_on = noise_on || dvfs_on;
+    if (events_on) {
+        for (unsigned l = 0; l < nl; ++l) {
+            if (L[l].noise.enabled)
+                schedule_interrupt(L[l], 0);
+            if (L[l].noise.dvfsEnabled)
+                schedule_dvfs(L[l], 0);
+            next_event[l] = std::min(L[l].nextInterrupt, L[l].nextDvfs);
         }
-    };
-
-    // Replay-mode stream cursors.  The streams are exact by
-    // construction (same program, same entry, same budget ⇒ same
-    // functional execution), so exhaustion mid-run means the replay
-    // preconditions were violated — assert, don't wander.
-    const std::uint64_t *rp_bits_data = nullptr;
-    std::size_t rp_bits_n = 0;
-    const std::uint32_t *rp_ret_data = nullptr;
-    std::size_t rp_ret_n = 0;
-    const Addr *rp_mem_data = nullptr;
-    std::size_t rp_mem_n = 0;
-    std::uint64_t rp_delta = 0; ///< stack rebase: initialSp - recordedSp
-    Addr rp_boundary = ~Addr(0);
-    if (kReplay) {
-        rp_bits_data = rep->branchBits.data();
-        rp_bits_n = rep->branchBits.size();
-        rp_ret_data = rep->retTargets.data();
-        rp_ret_n = rep->retTargets.size();
-        rp_mem_data = rep->memAddrs.data();
-        rp_mem_n = rep->memAddrs.size();
-        rp_delta = image.initialSp - rep->recordedSp; // mod-2^64 delta
-        rp_boundary = rep->stackBoundary;
     }
-    std::uint64_t rp_bit = 0;
-    std::size_t rp_bitword = 0;
-    std::size_t rp_ret = 0;
-    std::size_t rp_mem = 0;
-    auto rp_taken = [&]() __attribute__((always_inline)) -> bool {
-        mbias_assert(rp_bitword < rp_bits_n,
-                     "replay branch stream exhausted");
-        const bool t = (rp_bits_data[rp_bitword] >> rp_bit) & 1;
-        if (++rp_bit == 64) {
-            rp_bit = 0;
-            ++rp_bitword;
-        }
-        return t;
-    };
-    auto rp_addr = [&]() __attribute__((always_inline)) -> Addr {
-        mbias_assert(rp_mem < rp_mem_n, "replay memory stream exhausted");
-        const Addr a = rp_mem_data[rp_mem++];
-        return a >= rp_boundary ? a + rp_delta : a;
-    };
-    auto rp_ret_target = [&]() __attribute__((always_inline))
-        -> std::uint32_t {
-        mbias_assert(rp_ret < rp_ret_n, "replay return stream exhausted");
-        return rp_ret_data[rp_ret++];
-    };
 
     const DecodedOp *const ops = plan.ops.data();
 
@@ -1529,17 +1456,42 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     bool halted = false;
     const DecodedOp *d = nullptr;
 
+    // Handler bodies shared by the ALU ops: per lane, wait for the
+    // sources and stamp the destination's ready time; then write the
+    // value once.  The value is computed by the caller before any
+    // write, so rd may alias a source.
+    auto alu_rr = [&](std::uint64_t v, Cycles lat)
+        __attribute__((always_inline)) {
+        for (unsigned l = 0; l < nl; ++l) {
+            wait_for(l, d->rs1);
+            wait_for(l, d->rs2);
+            const Cycles t = alu_ready(l, lat);
+            if (d->rd != isa::reg::zero)
+                ready[d->rd][l] = t;
+        }
+        if (d->rd != isa::reg::zero)
+            regs[d->rd] = v;
+    };
+    auto alu_ri = [&](std::uint64_t v) __attribute__((always_inline)) {
+        for (unsigned l = 0; l < nl; ++l) {
+            wait_for(l, d->rs1);
+            if (d->rd != isa::reg::zero)
+                ready[d->rd][l] = now(l) + 1;
+        }
+        if (d->rd != isa::reg::zero)
+            regs[d->rd] = v;
+    };
+
     // Shared tail of every conditional branch (reference order:
-    // BranchesExecuted, predict+train, then the taken path).  Replay
-    // overrides the caller's (dead-value) outcome with the recorded
-    // bit; Record appends the live outcome to the stream.
+    // BranchesExecuted, predict+train, then the taken path), after
+    // each lane waited for the operands.
     auto do_branch = [&](const DecodedOp &b, bool taken)
         __attribute__((always_inline)) {
-        if (kReplay)
-            taken = rp_taken();
-        else if (kRecord)
-            rec_branch(taken);
-        ctrs.inc(Counter::BranchesExecuted);
+        for (unsigned l = 0; l < nl; ++l) {
+            wait_for(l, b.rs1);
+            wait_for(l, b.rs2);
+        }
+        shared.inc(Counter::BranchesExecuted);
         if (bp_on) {
             bool pred;
             if (gshare) {
@@ -1550,20 +1502,20 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
                 bimodal->updateHot(b.pc, taken);
             }
             if (pred != taken) {
-                ctrs.inc(Counter::BranchMispredicts);
-                pipe.now += mispredict_pen;
-                pipe.forceNewGroup = true;
+                shared.inc(Counter::BranchMispredicts);
+                charge_all(mispredict_pen);
+                force_new_group = true;
             }
         }
         if (taken) {
-            ctrs.inc(Counter::TakenBranches);
+            shared.inc(Counter::TakenBranches);
             const Addr target = ops[b.targetIdx].pc;
             if (btb_on && !btb_.lookupAndUpdateHot(b.pc, target)) {
-                ctrs.inc(Counter::BtbMisses);
-                pipe.now += btb_miss_pen;
+                shared.inc(Counter::BtbMisses);
+                charge_all(btb_miss_pen);
             }
             redirect_realign(target);
-            pipe.forceNewGroup = true;
+            force_new_group = true;
             idx = b.targetIdx;
         } else {
             ++idx;
@@ -1587,17 +1539,18 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 
 // One budget check + fetch + threaded jump between every pair of
 // instructions; each expansion gives its handler a private dispatch
-// branch.  The noise check sits where the reference loop has it —
-// after the budget check, before fetch — and folds away in Normal
-// mode (noise_on is constant false there).
+// branch.  The lane event check sits where the reference loop has its
+// noise checks — after the budget check, before fetch — and folds away
+// without kBatch (events_on is then constant false).
 #define MBIAS_DISPATCH()                                                    \
     do {                                                                    \
         if (__builtin_expect(icount >= max_insts, 0))                       \
             goto run_done;                                                  \
-        if (noise_on && __builtin_expect(pipe.now >= next_interrupt, 0))    \
-            do_interrupt();                                                 \
-        if (dvfs_on && __builtin_expect(pipe.now >= next_dvfs, 0))          \
-            do_dvfs_step();                                                 \
+        if (kBatch && __builtin_expect(events_on, 0)) {                     \
+            for (unsigned l = 0; l < nl; ++l)                               \
+                if (now(l) >= next_event[l])                                \
+                    lane_event(l);                                          \
+        }                                                                   \
         d = ops + idx;                                                      \
         ++icount;                                                           \
         fetch(d->pc, d->size);                                              \
@@ -1607,311 +1560,247 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
     MBIAS_DISPATCH();
 
   op_add:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] + regs[d->rs2], pipe.now + 1);
+    alu_rr(regs[d->rs1] + regs[d->rs2], 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_sub:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] - regs[d->rs2], pipe.now + 1);
+    alu_rr(regs[d->rs1] - regs[d->rs2], 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_mul:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] * regs[d->rs2], alu_ready(mul_lat));
+    alu_rr(regs[d->rs1] * regs[d->rs2], mul_lat);
     ++idx;
     MBIAS_DISPATCH();
 
   op_divu: {
-      wait_for(d->rs1);
-      wait_for(d->rs2);
       const std::uint64_t a = regs[d->rs1];
       const std::uint64_t b = regs[d->rs2];
-      set_reg(d->rd, b == 0 ? ~std::uint64_t(0) : a / b,
-              alu_ready(div_lat));
+      alu_rr(b == 0 ? ~std::uint64_t(0) : a / b, div_lat);
       ++idx;
       MBIAS_DISPATCH();
   }
 
   op_remu: {
-      wait_for(d->rs1);
-      wait_for(d->rs2);
       const std::uint64_t a = regs[d->rs1];
       const std::uint64_t b = regs[d->rs2];
-      set_reg(d->rd, b == 0 ? a : a % b, alu_ready(div_lat));
+      alu_rr(b == 0 ? a : a % b, div_lat);
       ++idx;
       MBIAS_DISPATCH();
   }
 
   op_and:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] & regs[d->rs2], pipe.now + 1);
+    alu_rr(regs[d->rs1] & regs[d->rs2], 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_or:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] | regs[d->rs2], pipe.now + 1);
+    alu_rr(regs[d->rs1] | regs[d->rs2], 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_xor:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] ^ regs[d->rs2], pipe.now + 1);
+    alu_rr(regs[d->rs1] ^ regs[d->rs2], 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_sll:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] << (regs[d->rs2] & 63), pipe.now + 1);
+    alu_rr(regs[d->rs1] << (regs[d->rs2] & 63), 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_srl:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] >> (regs[d->rs2] & 63), pipe.now + 1);
+    alu_rr(regs[d->rs1] >> (regs[d->rs2] & 63), 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_sra:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd,
-            std::uint64_t(std::int64_t(regs[d->rs1]) >> (regs[d->rs2] & 63)),
-            pipe.now + 1);
+    alu_rr(std::uint64_t(std::int64_t(regs[d->rs1]) >> (regs[d->rs2] & 63)),
+           1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_slt:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd,
-            std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]) ? 1 : 0,
-            pipe.now + 1);
+    alu_rr(std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]) ? 1 : 0,
+           1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_sltu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
-    set_reg(d->rd, regs[d->rs1] < regs[d->rs2] ? 1 : 0, pipe.now + 1);
+    alu_rr(regs[d->rs1] < regs[d->rs2] ? 1 : 0, 1);
     ++idx;
     MBIAS_DISPATCH();
 
   op_addi:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] + std::uint64_t(d->imm), pipe.now + 1);
+    alu_ri(regs[d->rs1] + std::uint64_t(d->imm));
     ++idx;
     MBIAS_DISPATCH();
 
   op_andi:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] & std::uint64_t(d->imm), pipe.now + 1);
+    alu_ri(regs[d->rs1] & std::uint64_t(d->imm));
     ++idx;
     MBIAS_DISPATCH();
 
   op_ori:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] | std::uint64_t(d->imm), pipe.now + 1);
+    alu_ri(regs[d->rs1] | std::uint64_t(d->imm));
     ++idx;
     MBIAS_DISPATCH();
 
   op_xori:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] ^ std::uint64_t(d->imm), pipe.now + 1);
+    alu_ri(regs[d->rs1] ^ std::uint64_t(d->imm));
     ++idx;
     MBIAS_DISPATCH();
 
   op_slli:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] << (std::uint64_t(d->imm) & 63),
-            pipe.now + 1);
+    alu_ri(regs[d->rs1] << (std::uint64_t(d->imm) & 63));
     ++idx;
     MBIAS_DISPATCH();
 
   op_srli:
-    wait_for(d->rs1);
-    set_reg(d->rd, regs[d->rs1] >> (std::uint64_t(d->imm) & 63),
-            pipe.now + 1);
+    alu_ri(regs[d->rs1] >> (std::uint64_t(d->imm) & 63));
     ++idx;
     MBIAS_DISPATCH();
 
   op_srai:
-    wait_for(d->rs1);
-    set_reg(d->rd,
-            std::uint64_t(std::int64_t(regs[d->rs1]) >>
-                          (std::uint64_t(d->imm) & 63)),
-            pipe.now + 1);
+    alu_ri(std::uint64_t(std::int64_t(regs[d->rs1]) >>
+                         (std::uint64_t(d->imm) & 63)));
     ++idx;
     MBIAS_DISPATCH();
 
   op_slti:
-    wait_for(d->rs1);
-    set_reg(d->rd, std::int64_t(regs[d->rs1]) < d->imm ? 1 : 0,
-            pipe.now + 1);
+    alu_ri(std::int64_t(regs[d->rs1]) < d->imm ? 1 : 0);
     ++idx;
     MBIAS_DISPATCH();
 
   op_li:
-    set_reg(d->rd, std::uint64_t(d->imm), pipe.now + 1);
+    if (d->rd != isa::reg::zero) {
+        for (unsigned l = 0; l < nl; ++l)
+            ready[d->rd][l] = now(l) + 1;
+        regs[d->rd] = std::uint64_t(d->imm);
+    }
     ++idx;
     MBIAS_DISPATCH();
 
   op_ld: {
-      wait_for(d->rs1);
       const unsigned size = d->accessSize;
-      const Addr addr = kReplay
-                            ? rp_addr()
-                            : regs[d->rs1] + std::uint64_t(d->imm);
-      if (kRecord)
-          rec_mem(addr);
-      ctrs.inc(Counter::Loads);
-      pipe.icount = icount; // only memory ops observe it
-      const Cycles lat = mem_access(addr, size, false);
-      set_reg(d->rd, kReplay ? 0 : mem_read(addr, size), pipe.now + lat);
+      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
+      shared.inc(Counter::Loads);
+      for (unsigned l = 0; l < nl; ++l) {
+          wait_for(l, d->rs1);
+          const Cycles lat =
+              mem_access(l, lane_addr(l, addr), size, false, icount);
+          if (d->rd != isa::reg::zero)
+              ready[d->rd][l] = now(l) + lat;
+      }
+      if (d->rd != isa::reg::zero)
+          regs[d->rd] = mem_read(addr, size);
       ++idx;
       MBIAS_DISPATCH();
   }
 
   op_st: {
-      wait_for(d->rs1);
-      wait_for(d->rd); // data register
       const unsigned size = d->accessSize;
-      const Addr addr = kReplay
-                            ? rp_addr()
-                            : regs[d->rs1] + std::uint64_t(d->imm);
-      if (kRecord)
-          rec_mem(addr);
-      ctrs.inc(Counter::Stores);
-      pipe.icount = icount;
-      mem_access(addr, size, true);
-      if (!kReplay)
-          mem_write(addr, size, regs[d->rd]);
+      const Addr addr = regs[d->rs1] + std::uint64_t(d->imm);
+      shared.inc(Counter::Stores);
+      for (unsigned l = 0; l < nl; ++l) {
+          wait_for(l, d->rs1);
+          wait_for(l, d->rd); // data register
+          mem_access(l, lane_addr(l, addr), size, true, icount);
+      }
+      mem_write(addr, size, regs[d->rd]);
       ++idx;
       MBIAS_DISPATCH();
   }
 
   op_beq:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, regs[d->rs1] == regs[d->rs2]);
     MBIAS_DISPATCH();
 
   op_bne:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, regs[d->rs1] != regs[d->rs2]);
     MBIAS_DISPATCH();
 
   op_blt:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, std::int64_t(regs[d->rs1]) < std::int64_t(regs[d->rs2]));
     MBIAS_DISPATCH();
 
   op_bge:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, std::int64_t(regs[d->rs1]) >= std::int64_t(regs[d->rs2]));
     MBIAS_DISPATCH();
 
   op_bltu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, regs[d->rs1] < regs[d->rs2]);
     MBIAS_DISPATCH();
 
   op_bgeu:
-    wait_for(d->rs1);
-    wait_for(d->rs2);
     do_branch(*d, regs[d->rs1] >= regs[d->rs2]);
     MBIAS_DISPATCH();
 
   op_jmp: {
       const Addr target = ops[d->targetIdx].pc;
       if (btb_on && !btb_.lookupAndUpdateHot(d->pc, target)) {
-          ctrs.inc(Counter::BtbMisses);
-          pipe.now += btb_miss_pen;
+          shared.inc(Counter::BtbMisses);
+          charge_all(btb_miss_pen);
       }
       redirect_realign(target);
-      pipe.forceNewGroup = true;
+      force_new_group = true;
       idx = d->targetIdx;
       MBIAS_DISPATCH();
   }
 
   op_call: {
-      wait_for(isa::reg::sp);
-      ctrs.inc(Counter::Calls);
-      const Addr new_sp =
-          kReplay ? rp_addr() : regs[isa::reg::sp] - 8;
-      if (kRecord)
-          rec_mem(new_sp);
+      const Addr new_sp = regs[isa::reg::sp] - 8;
       const Addr ret_addr = d->pc + d->size;
-      ctrs.inc(Counter::Stores);
-      pipe.icount = icount;
-      mem_access(new_sp, 8, true);
-      if (!kReplay)
-          mem_write(new_sp, 8, ret_addr);
-      set_reg(isa::reg::sp, new_sp, pipe.now + 1);
+      shared.inc(Counter::Calls);
+      shared.inc(Counter::Stores);
+      for (unsigned l = 0; l < nl; ++l) {
+          wait_for(l, isa::reg::sp);
+          mem_access(l, lane_addr(l, new_sp), 8, true, icount);
+          ready[isa::reg::sp][l] = now(l) + 1;
+      }
+      mem_write(new_sp, 8, ret_addr);
+      regs[isa::reg::sp] = new_sp;
       const Addr target = ops[d->targetIdx].pc;
       if (btb_on && !btb_.lookupAndUpdateHot(d->pc, target)) {
-          ctrs.inc(Counter::BtbMisses);
-          pipe.now += btb_miss_pen;
+          shared.inc(Counter::BtbMisses);
+          charge_all(btb_miss_pen);
       }
       redirect_realign(target);
-      pipe.forceNewGroup = true;
+      force_new_group = true;
       idx = d->targetIdx;
       MBIAS_DISPATCH();
   }
 
   op_ret: {
-      wait_for(isa::reg::sp);
-      const Addr sp = kReplay ? rp_addr() : regs[isa::reg::sp];
-      if (kRecord)
-          rec_mem(sp);
-      ctrs.inc(Counter::Loads);
-      pipe.icount = icount;
+      const Addr sp = regs[isa::reg::sp];
+      shared.inc(Counter::Loads);
       // Return-address stack: the target is predicted perfectly, so
       // the load latency is off the critical path, but the access
       // still exercises the cache/TLB.
-      mem_access(sp, 8, false);
-      std::uint32_t t;
-      if (kReplay) {
-          // The resolved code index was recorded; the functional load
-          // it came from never happens here.
-          t = rp_ret_target();
-      } else {
-          const Addr ret_addr = mem_read(sp, 8);
-          // O(1) return-address table, same domain as the reference's
-          // addrToIdx hash map.
-          const Addr off = ret_addr - plan.codeBase;
-          t = ExecutionPlan::kNoIndex;
-          if (off < plan.idxByOffset.size())
-              t = plan.idxByOffset[std::size_t(off)];
-          mbias_assert(t != ExecutionPlan::kNoIndex,
-                       "corrupted return address 0x", std::hex, ret_addr);
-          if (kRecord)
-              rec_ret(t);
+      for (unsigned l = 0; l < nl; ++l) {
+          wait_for(l, isa::reg::sp);
+          mem_access(l, lane_addr(l, sp), 8, false, icount);
+          ready[isa::reg::sp][l] = now(l) + 1;
       }
-      set_reg(isa::reg::sp, sp + 8, pipe.now + 1);
+      const Addr ret_addr = mem_read(sp, 8);
+      // O(1) return-address table, same domain as the reference's
+      // addrToIdx hash map.
+      const Addr off = ret_addr - plan.codeBase;
+      std::uint32_t t = ExecutionPlan::kNoIndex;
+      if (off < plan.idxByOffset.size())
+          t = plan.idxByOffset[std::size_t(off)];
+      mbias_assert(t != ExecutionPlan::kNoIndex,
+                   "corrupted return address 0x", std::hex, ret_addr);
+      regs[isa::reg::sp] = sp + 8;
       redirect_realign(ops[t].pc);
-      pipe.forceNewGroup = true;
+      force_new_group = true;
       idx = t;
       MBIAS_DISPATCH();
   }
 
   op_nop:
-    ctrs.inc(Counter::NopsExecuted);
+    shared.inc(Counter::NopsExecuted);
     ++idx;
     MBIAS_DISPATCH();
 
@@ -1925,31 +1814,23 @@ Machine::runPlanImpl(const toolchain::ProcessImage &image,
 #undef MBIAS_DISPATCH
 
   run_done:
-    if (kRecord) {
-        if (rec_nbits && rec_ok)
-            ft_rec->branchBits.push_back(rec_bits); // flush partial word
-        ft_rec->aborted = !rec_ok;
-        ft_rec->icount = icount;
-        ft_rec->halted = halted;
-        ft_rec->resultA0 = regs[isa::reg::a0];
+    std::uint64_t bytes = s_itlb.bytes();
+    for (unsigned l = 0; l < nl; ++l) {
+        RunResult &rr = out[l];
+        for (const Counter c : allCounters())
+            rr.counters.set(c, shared.get(c) + L[l].ctrs.get(c));
+        rr.counters.set(Counter::StallCycles, stall[l]);
+        rr.counters.set(Counter::Cycles, now(l));
+        rr.counters.set(Counter::Instructions, icount);
+        rr.halted = halted;
+        // a0 is a value, not an access: it gets the stack rebase only
+        // when it lies in lane 0's stack region (a workload returning
+        // a stack pointer), so a checksum above the stack stays put.
+        const std::uint64_t a0 = regs[isa::reg::a0];
+        rr.result = a0 <= image.stackTop ? lane_addr(l, a0) : a0;
+        bytes += L[l].bytes();
     }
-    ctrs.set(Counter::Cycles, pipe.now);
-    ctrs.set(Counter::Instructions, icount);
-    rr.halted = halted;
-    if (kReplay) {
-        // The architectural outcome comes from the recording; the
-        // loop above only re-derived control flow from the streams.
-        // a0 gets the stack rebase when it is itself a stack address
-        // (e.g. a workload returning a stack pointer).
-        mbias_assert(icount == rep->icount && halted == rep->halted,
-                     "replay diverged from its recording");
-        rr.result = rep->resultA0 >= rp_boundary
-                        ? rep->resultA0 + rp_delta
-                        : rep->resultA0;
-    } else {
-        rr.result = regs[isa::reg::a0];
-    }
-    return rr;
+    return bytes;
 }
 
 } // namespace mbias::sim

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/counters.hh"
@@ -26,8 +27,8 @@ struct FunctionalTrace; // sim/replay.hh
 /**
  * Human-readable description of the sim tier run() would pick for a
  * plain deterministic run right now — build flags and environment
- * escape hatches folded in (e.g. "fast + replay", or
- * "fast (replay: MBIAS_SIM_REPLAY=0)", or
+ * escape hatches folded in ("fast + lanes", or
+ * "reference (MBIAS_SIM_REFERENCE set)", or
  * "reference (-DMBIAS_SIM_FASTPATH=OFF)").  Recorded by `mbias
  * list`/`mbias workloads` so provenance explains perf deltas between
  * hosts.
@@ -78,25 +79,22 @@ struct RunResult
  * bit-identical results.  All components start cold on each run().
  *
  * Two tiers implement run().  The *reference* interpreter walks the
- * linker's PlacedInst records directly; the *fast path* walks a
+ * linker's PlacedInst records directly; the *fast tier* walks a
  * cached ExecutionPlan (sim/plan.hh) — dense pre-decoded operands and
  * an O(1) return-address table —
  * performing the identical component accesses in the identical order,
- * so its RunResult is bitwise equal by construction.  The fast path
- * is taken only for noise-free, unprofiled runs; it can be disabled
- * per machine (setUseFastPath(false)), per process
- * (MBIAS_SIM_REFERENCE=1 in the environment), or at build time
- * (-DMBIAS_SIM_FASTPATH=OFF).
+ * so its RunResult is bitwise equal by construction.  The fast tier
+ * takes every unprofiled, unattributed run; it can be disabled per
+ * machine (setUseFastPath(false)), per process (MBIAS_SIM_REFERENCE=1
+ * in the environment), or at build time (-DMBIAS_SIM_FASTPATH=OFF).
  *
- * A third tier, *record/replay* (sim/replay.hh), serves repetition
- * families: runRecord() executes one instrumented fast-tier run
- * (noise allowed — the functional stream is noise-independent) that
- * captures branch outcomes, return targets, resolved memory addresses,
- * and the final architectural state into a FunctionalTrace;
- * runReplay() then re-runs *only the timing models* over that stream
- * under a fresh noise seed, machine geometry, or ASLR stack base,
- * skipping functional execution.  Its hatches mirror the others:
- * setUseReplayPath(false) and MBIAS_SIM_REPLAY=0.
+ * Repetition families — the same program re-run under many ASLR or
+ * env-size layouts, or many noise seeds — run as *lockstep lanes*
+ * (runLanes()): one pass executes the program functionally and drives
+ * the front end once, while each lane keeps its own clock, register
+ * readiness, data-side caches/TLB/store buffer and noise streams, with
+ * its stack addresses rebased by its sp delta.  Every lane's RunResult
+ * is bitwise equal to run() of its own image and noise.
  */
 class Machine
 {
@@ -120,26 +118,47 @@ class Machine
                   Profile *profile = nullptr,
                   Attribution *attribution = nullptr);
 
+    /** Lanes per lockstep batch (runLanes()). */
+    static constexpr unsigned kLaneWidth = 8;
+
+    /** One lane of a lockstep batch: a load of the shared program
+     *  (typically one ASLR or env-size draw) and its noise model. */
+    struct Lane
+    {
+        const toolchain::ProcessImage *image = nullptr;
+        NoiseModel noise = NoiseModel::none();
+    };
+
     /**
-     * Record-once half of the replay tier: one fast-tier run
-     * that additionally captures the functional stream into @p *out.
-     * The RunResult is bitwise identical to run() with the same
-     * arguments.  Falls back to plain run() — leaving @p *out null —
-     * when the tier is unusable (replayTierUsable()) or the stream
-     * outgrows FunctionalTrace::kMaxBytes mid-run.
+     * Runs every lane to Halt (or @p max_insts), kLaneWidth lanes per
+     * lockstep pass; result i is bitwise identical to
+     * run(*lanes[i].image, max_insts, lanes[i].noise).  The lanes must
+     * share the program, gp, heap base and entry (initialSp and noise
+     * are free).  Stack addresses — those at or above half the first
+     * lane's stack top — are rebased per lane by the initialSp delta,
+     * and so is a final a0 inside the stack region.  That assumes the
+     * program derives stack addresses from sp by plain offset
+     * arithmetic and uses them only as addresses (true of
+     * compiler-generated code; the lanes differential test holds the
+     * line per workload).  Without the fast tier, each lane is a plain
+     * run().
      */
+    std::vector<RunResult> runLanes(const std::vector<Lane> &lanes,
+                                    std::uint64_t max_insts =
+                                        kDefaultRunBudget);
+
+    /** True when run() and runLanes() may take the fast tier: built
+     *  in, not vetoed by MBIAS_SIM_REFERENCE, and on for this
+     *  machine. */
+    bool fastTierUsable() const;
+
+    /** Compatibility wrappers over the fast tier, kept for the
+     *  benchmark harness (sim/replay.hh): runRecord() is run() plus an
+     *  identity-only trace; runReplay() asserts the trace matches and
+     *  runs. */
     RunResult runRecord(const toolchain::ProcessImage &image,
                         std::uint64_t max_insts, const NoiseModel &noise,
                         std::shared_ptr<const FunctionalTrace> *out);
-
-    /**
-     * Replay-many half: re-runs only the timing models over @p trace
-     * (which must match(image, max_insts)) under @p noise.  Stack
-     * addresses are rebased by the image-vs-recording sp delta, so one
-     * recording serves every ASLR draw.  The RunResult is bitwise
-     * identical to run() with the same arguments.  Falls back to plain
-     * run() when the tier is unusable.
-     */
     RunResult runReplay(const toolchain::ProcessImage &image,
                         std::uint64_t max_insts, const NoiseModel &noise,
                         const FunctionalTrace &trace);
@@ -151,41 +170,29 @@ class Machine
     void setUseFastPath(bool on) { useFastPath_ = on; }
     bool useFastPath() const { return useFastPath_; }
 
-    /** Selects the record/replay tier for runRecord()/runReplay()
-     *  (default on; off forces their plain-run() fallback).  Ignored
-     *  while the fast path is off. */
-    void setUseReplayPath(bool on) { useReplayPath_ = on; }
-    bool useReplayPath() const { return useReplayPath_; }
-
   private:
     struct Pipeline; // per-run timing state
 
-    /** How runPlanImpl treats the functional stream: execute it
-     *  (Normal), execute and capture it (Record), or consume a
-     *  captured one instead of executing (Replay). */
-    enum class RunMode { Normal, Record, Replay };
+    /** The plan-based interpreter behind run() and runLanes(); see
+     *  the class comment.  kBatch = false is the single noise-free run
+     *  (@p n == 1), kBatch = true a lockstep batch of @p n <=
+     *  kLaneWidth lanes with noise allowed.  Core is the CoreModel
+     *  policy (machine.cc: OooCore / InOrderCore) selected per backend
+     *  at compile time: it decides stall exposure, multi-cycle issue
+     *  blocking, and taken-redirect realignment at `if constexpr`
+     *  points, so the execution spine is shared and each instantiation
+     *  keeps its direct-threaded throughput.  Returns the lanes'
+     *  timing-state footprint in bytes. */
+    template <bool kBatch, class Core>
+    std::uint64_t runPlanImpl(const Lane *lanes, unsigned n,
+                              std::uint64_t max_insts,
+                              const ExecutionPlan &plan, RunResult *out);
 
-    /** The plan-based interpreter behind run(); see class comment. */
-    RunResult runFast(const toolchain::ProcessImage &image,
-                      std::uint64_t max_insts, const ExecutionPlan &plan);
-
-    /** Shared direct-threaded interpreter body behind runFast
-     *  (Mode == Normal) and the record/replay tier (Mode != Normal;
-     *  @p rec receives the stream under
-     *  Record, @p rep supplies it under Replay, and @p noise drives
-     *  the reference-equivalent OS-interrupt model).  Core is the
-     *  CoreModel policy (machine.cc: OooCore / InOrderCore) selected
-     *  per backend at compile time: it decides stall exposure,
-     *  multi-cycle issue blocking, and taken-redirect realignment at
-     *  `if constexpr` points, so the execution spine (decode,
-     *  dataflow, memory, shadow structures) is shared and each
-     *  instantiation keeps its direct-threaded throughput. */
-    template <RunMode Mode, class Core>
-    RunResult runPlanImpl(const toolchain::ProcessImage &image,
-                          std::uint64_t max_insts,
-                          const ExecutionPlan &plan,
-                          const NoiseModel &noise, FunctionalTrace *rec,
-                          const FunctionalTrace *rep);
+    /** runPlanImpl over one batch, dispatched on the core model;
+     *  returns the batch's timing-state footprint in bytes. */
+    std::uint64_t runBatch(const Lane *lanes, unsigned n,
+                           std::uint64_t max_insts, const ExecutionPlan &plan,
+                           RunResult *out);
 
     /** Charges fetch/decode costs for the instruction at @p pc. */
     void fetchAccounting(Pipeline &pipe, Addr pc, unsigned size,
@@ -211,7 +218,6 @@ class Machine
     Attribution *attr_ = nullptr;
 
     bool useFastPath_ = true;
-    bool useReplayPath_ = true;
 };
 
 } // namespace mbias::sim

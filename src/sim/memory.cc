@@ -1,5 +1,8 @@
 #include "sim/memory.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "base/logging.hh"
 
 namespace mbias::sim
@@ -66,8 +69,16 @@ SparseMemory::write(Addr addr, unsigned size, std::uint64_t value)
 void
 SparseMemory::writeBlock(Addr addr, const std::vector<std::uint8_t> &bytes)
 {
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        touchPage(addr + i)[(addr + i) % page_bytes] = bytes[i];
+    // One page lookup per page the block covers, not per byte.
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const Addr at = addr + done;
+        const std::size_t off = at % page_bytes;
+        const std::size_t n =
+            std::min<std::size_t>(page_bytes - off, bytes.size() - done);
+        std::memcpy(touchPage(at).data() + off, bytes.data() + done, n);
+        done += n;
+    }
 }
 
 std::uint8_t *

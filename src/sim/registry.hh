@@ -11,7 +11,7 @@ namespace mbias::sim
 
 /**
  * One registered machine backend.  Every backend runs on every
- * simulator tier (reference, fast, record/replay); the core model
+ * simulator tier (reference, fast, lanes); the core model
  * (config.core) selects the timing policy within them.
  */
 struct MachineBackend

@@ -1,58 +1,45 @@
 #include "sim/replay.hh"
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
-#include "base/hash.hh"
 #include "base/logging.hh"
 #include "sim/machine.hh"
-#include "sim/plan.hh"
 
 namespace mbias::sim
 {
 
 bool
-replayDisabledByEnv()
-{
-    const char *env = std::getenv("MBIAS_SIM_REPLAY");
-    return env && std::strcmp(env, "0") == 0;
-}
-
-bool
 replayTierUsable(const Machine &machine)
 {
-#if !MBIAS_SIM_FASTPATH_ENABLED
-    (void)machine;
-    return false;
-#else
-    return machine.useFastPath() && machine.useReplayPath() &&
-           !replayDisabledByEnv() && !referenceForcedByEnv();
-#endif
+    return machine.fastTierUsable();
 }
 
-std::uint64_t
-FunctionalTrace::approxBytes() const
+RunResult
+Machine::runRecord(const toolchain::ProcessImage &image,
+                   std::uint64_t max_insts, const NoiseModel &noise,
+                   std::shared_ptr<const FunctionalTrace> *out)
 {
-    return sizeof(*this) + branchBits.capacity() * sizeof(std::uint64_t) +
-           retTargets.capacity() * sizeof(std::uint32_t) +
-           memAddrs.capacity() * sizeof(Addr);
+    mbias_assert(out, "runRecord needs a trace sink");
+    auto trace = std::make_shared<FunctionalTrace>();
+    trace->program = image.program;
+    trace->gp = image.gp;
+    trace->heapBase = image.heapBase;
+    trace->entryIdx = image.entryIdx;
+    trace->budget = max_insts;
+    *out = std::move(trace);
+    ReplayCache::global().noteRecord();
+    return run(image, max_insts, noise);
 }
 
-std::size_t
-ReplayCache::KeyHash::operator()(const Key &k) const
+RunResult
+Machine::runReplay(const toolchain::ProcessImage &image,
+                   std::uint64_t max_insts, const NoiseModel &noise,
+                   const FunctionalTrace &trace)
 {
-    Fnv1a h;
-    h.u64(std::uint64_t(reinterpret_cast<std::uintptr_t>(k.program)));
-    h.u64(k.gp);
-    h.u64(k.heapBase);
-    h.u64(k.entryIdx);
-    h.u64(k.budget);
-    return std::size_t(h.value());
-}
-
-ReplayCache::ReplayCache(std::size_t capacity) : capacity_(capacity)
-{
-    mbias_assert(capacity > 0, "replay cache capacity must be nonzero");
+    mbias_assert(trace.matches(image, max_insts),
+                 "replaying a trace against a mismatched image");
+    ReplayCache::global().noteReplay();
+    return run(image, max_insts, noise);
 }
 
 ReplayCache &
@@ -62,51 +49,21 @@ ReplayCache::global()
     return cache;
 }
 
-ReplayCache::Key
-ReplayCache::keyOf(const toolchain::ProcessImage &image,
-                   std::uint64_t budget)
-{
-    Key k;
-    k.program = image.program.get();
-    k.gp = image.gp;
-    k.heapBase = image.heapBase;
-    k.entryIdx = image.entryIdx;
-    k.budget = budget;
-    return k;
-}
-
-namespace
-{
-
-void
-bump(const std::atomic<obs::Counter *> &c, std::uint64_t by = 1)
-{
-    if (obs::Counter *counter = c.load(std::memory_order_relaxed))
-        counter->add(by);
-}
-
-} // namespace
-
 std::shared_ptr<const FunctionalTrace>
-ReplayCache::find(const toolchain::ProcessImage &image,
-                  std::uint64_t budget, bool *unrecordable)
+ReplayCache::find(const toolchain::ProcessImage &image, std::uint64_t budget,
+                  bool *unrecordable)
 {
     if (unrecordable)
         *unrecordable = false;
-    const Key key = keyOf(image, budget);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++misses_;
-        bump(cMisses_);
-        return nullptr;
+    for (const auto &t : traces_) {
+        if (t->matches(image, budget)) {
+            ++stats_.hits;
+            return t;
+        }
     }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    bump(cHits_);
-    if (!it->second->second.trace && unrecordable)
-        *unrecordable = true;
-    return it->second->second.trace;
+    ++stats_.misses;
+    return nullptr;
 }
 
 void
@@ -114,86 +71,59 @@ ReplayCache::insert(const toolchain::ProcessImage &image,
                     std::uint64_t budget,
                     std::shared_ptr<const FunctionalTrace> trace)
 {
-    mbias_assert(!trace || trace->matches(image, budget),
+    if (!trace)
+        return;
+    mbias_assert(trace->matches(image, budget),
                  "inserting a replay trace that mismatches its own key");
-    const Key key = keyOf(image, budget);
-    Entry entry;
-    entry.pin = image.program;
-    entry.trace = std::move(trace);
-    const std::uint64_t entry_bytes =
-        entry.trace ? entry.trace->approxBytes() : sizeof(Entry);
-
     std::lock_guard<std::mutex> lock(mutex_);
-    if (map_.find(key) != map_.end())
-        return; // first insert wins; racing recorders produce equal traces
-    bytes_ += entry_bytes;
-    lru_.emplace_front(key, std::move(entry));
-    map_.emplace(key, lru_.begin());
-    while (map_.size() > capacity_) {
-        const Entry &victim = lru_.back().second;
-        bytes_ -= victim.trace ? victim.trace->approxBytes()
-                               : std::uint64_t(sizeof(Entry));
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-        bump(cEvictions_);
-    }
+    for (const auto &t : traces_)
+        if (t->matches(image, budget))
+            return;
+    traces_.push_back(std::move(trace));
+    if (traces_.size() > kCapacity)
+        traces_.erase(traces_.begin());
 }
 
 void
 ReplayCache::noteRecord()
 {
-    records_.fetch_add(1, std::memory_order_relaxed);
-    bump(cRecords_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.records;
 }
 
 void
 ReplayCache::noteReplay()
 {
-    replays_.fetch_add(1, std::memory_order_relaxed);
-    bump(cReplays_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.replays;
 }
 
 void
 ReplayCache::noteFallback()
 {
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    bump(cFallbacks_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.fallbacks;
 }
 
 void
-ReplayCache::attachMetrics(obs::Registry *metrics)
+ReplayCache::noteLaneBatch(unsigned lanes, std::uint64_t bytes)
 {
-    std::lock_guard<std::mutex> lock(metricsMutex_);
-    if (!metrics) {
-        cHits_ = nullptr;
-        cMisses_ = nullptr;
-        cEvictions_ = nullptr;
-        cRecords_ = nullptr;
-        cReplays_ = nullptr;
-        cFallbacks_ = nullptr;
-        return;
-    }
-    cHits_ = &metrics->counter("sim.replay.hits");
-    cMisses_ = &metrics->counter("sim.replay.misses");
-    cEvictions_ = &metrics->counter("sim.replay.evictions");
-    cRecords_ = &metrics->counter("sim.replay.records");
-    cReplays_ = &metrics->counter("sim.replay.replays");
-    cFallbacks_ = &metrics->counter("sim.replay.fallbacks");
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.records;
+    ++stats_.misses;
+    stats_.replays += lanes - 1;
+    stats_.hits += lanes - 1;
+    stats_.bytes = std::max(stats_.bytes, bytes);
 }
 
 ReplayCache::Stats
 ReplayCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Stats s;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.evictions = evictions_;
-    s.records = records_.load(std::memory_order_relaxed);
-    s.replays = replays_.load(std::memory_order_relaxed);
-    s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
-    s.bytes = bytes_;
+    Stats s = stats_;
+    // What the tier holds: the identity traces plus the largest lane
+    // batch's timing state.
+    s.bytes += traces_.size() * sizeof(FunctionalTrace);
     return s;
 }
 
@@ -201,9 +131,8 @@ void
 ReplayCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-    lru_.clear();
-    bytes_ = 0;
+    traces_.clear();
+    stats_.bytes = 0;
 }
 
 } // namespace mbias::sim

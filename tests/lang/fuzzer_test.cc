@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "lang/assembler.hh"
 #include "lang/disassembler.hh"
@@ -83,7 +84,9 @@ TEST(Fuzzer, CorpusDifferential64)
 {
     // The fast path's bitwise contract, over machine-generated code:
     // 64 programs, link order and environment size rotating with the
-    // index, reference vs fast interpreter, full RunResult equality.
+    // index, reference vs fast interpreter, full RunResult equality —
+    // and the same for lanes: the image, a noisy repetition of it and
+    // an ASLR draw, run as one lockstep batch.
     lang::FuzzConfig cfg;
     cfg.seed = 2026;
     cfg.count = 64;
@@ -119,6 +122,20 @@ TEST(Fuzzer, CorpusDifferential64)
         EXPECT_EQ(fast, ref)
             << name << ": fast path diverged (cycles " << fast.cycles()
             << " vs " << ref.cycles() << ")";
+
+        toolchain::LoaderConfig draw_lc = lc;
+        draw_lc.aslrSeed = 1 + i;
+        const auto draw = toolchain::Loader::load(image.program, draw_lc);
+        const std::vector<sim::Machine::Lane> lanes = {
+            {&image, sim::NoiseModel::none()},
+            {&image, sim::NoiseModel::withSeed(i)},
+            {&draw, sim::NoiseModel::none()}};
+        const auto got = fast_machine.runLanes(lanes);
+        for (std::size_t l = 0; l < lanes.size(); ++l)
+            EXPECT_EQ(got[l], ref_machine.run(*lanes[l].image,
+                                              sim::Machine::kDefaultRunBudget,
+                                              lanes[l].noise))
+                << name << ": lane " << l << " diverged";
     }
 }
 

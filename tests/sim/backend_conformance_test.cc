@@ -2,7 +2,7 @@
  * @file
  * The machine-backend layer's contract: every backend in the
  * MachineRegistry must run every simulator tier (reference, fast,
- * record/replay) with bitwise identical results.  On top of the
+ * lockstep lanes) with bitwise identical results.  On top of the
  * per-backend three-tier differential this file pins the registry's
  * shape (paper presets first, in paper order), the DVFS noise
  * factor's reference-vs-plan transcription on both core models, and
@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/machine.hh"
 #include "sim/registry.hh"
-#include "sim/replay.hh"
 #include "toolchain/compiler.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
@@ -44,24 +44,10 @@ imageFor(const std::string &workload, const toolchain::LinkOrder &order,
     return toolchain::Loader::load(std::move(prog), lc);
 }
 
-/** Mirrors replay_differential_test's hatch probe: whether runRecord/
- *  runReplay can reach the replay tier in this process at all. */
-bool
-replayTierActive()
-{
-#if MBIAS_SIM_FASTPATH_ENABLED
-    if (sim::replayDisabledByEnv())
-        return false;
-    return !sim::referenceForcedByEnv();
-#else
-    return false;
-#endif
-}
-
 /**
  * One backend through all three tiers on one image: reference (fast
- * path forced off), fast, and record/replay under a noise seed.
- * Every result must equal the reference bits.
+ * path forced off), fast, and a lane batch of noisy repetitions plus
+ * an ASLR draw.  Every result must equal the reference bits.
  */
 void
 expectThreeTierIdentical(const sim::MachineBackend &backend,
@@ -79,28 +65,22 @@ expectThreeTierIdentical(const sim::MachineBackend &backend,
     EXPECT_EQ(fast.run(image, budget), ref)
         << what << ": fast tier diverged from reference";
 
-    // Record under one noise seed, replay under another; each must
-    // match the plain (reference-interpreted, since noise is on) run
-    // of the same seed.  A hatched-off replay tier must leave the
-    // trace null.
-    sim::Machine rr(backend.config);
-    std::shared_ptr<const sim::FunctionalTrace> trace;
+    // Two noise seeds and a quiet ASLR draw of the same program, as
+    // lanes of one batch; each must match the reference run of its
+    // own image and seed.
+    toolchain::LoaderConfig lc = image.loaderConfig;
+    lc.aslrSeed = 0xa51 + ref.result % 5;
+    const auto draw = toolchain::Loader::load(image.program, lc);
     const auto noise0 = sim::NoiseModel::withSeed(0xc04f + ref.result % 7);
-    const auto rec = rr.runRecord(image, budget, noise0, &trace);
-    sim::Machine plain0(backend.config);
-    EXPECT_EQ(rec, plain0.run(image, budget, noise0))
-        << what << ": recording run diverged";
-    if (!replayTierActive()) {
-        EXPECT_EQ(trace, nullptr)
-            << what << ": disabled replay must fall back traceless";
-        return;
-    }
-    ASSERT_NE(trace, nullptr) << what << ": recording aborted";
-    const auto noise1 = sim::NoiseModel::withSeed(noise0.seed + 1);
-    sim::Machine plain1(backend.config);
-    EXPECT_EQ(rr.runReplay(image, budget, noise1, *trace),
-              plain1.run(image, budget, noise1))
-        << what << ": replay diverged";
+    auto noise1 = noise0;
+    noise1.seed += 1;
+    const std::vector<sim::Machine::Lane> lanes = {
+        {&image, noise0}, {&image, noise1}, {&draw, sim::NoiseModel::none()}};
+    const auto got = fast.runLanes(lanes, budget);
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+        EXPECT_EQ(got[i], reference.run(*lanes[i].image, budget,
+                                        lanes[i].noise))
+            << what << ": lane " << i << " diverged";
 }
 
 TEST(BackendConformance, RegistryShape)
@@ -152,9 +132,9 @@ TEST(BackendConformance, ThreeTierDifferentialEveryBackend)
 TEST(BackendConformance, DvfsNoiseAcrossTiers)
 {
     // The DVFS factor's reference-loop and plan-loop transcriptions
-    // must agree bitwise on both core models: record under combined
-    // interrupt+DVFS noise, replay under fresh seeds, each against the
-    // plain (reference-interpreted) run of the same model.
+    // must agree bitwise on both core models: a single run and a lane
+    // batch under combined interrupt+DVFS noise, each against the
+    // reference run of the same model.
     const auto image =
         imageFor("hmmer", toolchain::LinkOrder::shuffled(5), 300);
     const std::uint64_t budget = 500'000'000;
@@ -162,37 +142,36 @@ TEST(BackendConformance, DvfsNoiseAcrossTiers)
         const auto *backend =
             sim::MachineRegistry::global().byName(name);
         ASSERT_NE(backend, nullptr);
-        sim::Machine machine(backend->config);
-        std::shared_ptr<const sim::FunctionalTrace> trace;
         auto noise0 = sim::NoiseModel::withDvfs(0x1d7f);
         // Tighten the governor so several steps land inside this
         // workload's ~10^5-cycle run (the default interval is sized
         // for longer runs and can miss it entirely).
         noise0.dvfsMeanIntervalCycles = 20000;
         noise0.dvfsMeanResidencyCycles = 5000;
-        const auto rec = machine.runRecord(image, budget, noise0, &trace);
         sim::Machine plain(backend->config);
-        EXPECT_EQ(rec, plain.run(image, budget, noise0))
-            << name << ": DVFS recording diverged";
+        plain.setUseFastPath(false);
+        const auto ref = plain.run(image, budget, noise0);
         // The factor must actually perturb timing relative to
         // interrupt-only noise of the same seed.
         auto interrupts_only = noise0;
         interrupts_only.dvfsEnabled = false;
-        EXPECT_NE(rec.cycles(),
+        EXPECT_NE(ref.cycles(),
                   plain.run(image, budget, interrupts_only).cycles())
             << name << ": DVFS steps changed nothing";
-        if (!replayTierActive())
-            continue;
-        ASSERT_NE(trace, nullptr) << name;
+        std::vector<sim::Machine::Lane> lanes = {{&image, noise0}};
         for (std::uint64_t s = 1; s <= 2; ++s) {
             auto noise = noise0;
             noise.seed += s;
             noise.dvfsSlowdownPercent = 40;
-            sim::Machine fresh(backend->config);
-            EXPECT_EQ(machine.runReplay(image, budget, noise, *trace),
-                      fresh.run(image, budget, noise))
-                << name << ": DVFS replay diverged at seed +" << s;
+            lanes.push_back({&image, noise});
         }
+        sim::Machine machine(backend->config);
+        EXPECT_EQ(machine.run(image, budget, noise0), ref)
+            << name << ": DVFS single run diverged";
+        const auto got = machine.runLanes(lanes, budget);
+        for (std::size_t i = 0; i < lanes.size(); ++i)
+            EXPECT_EQ(got[i], plain.run(image, budget, lanes[i].noise))
+                << name << ": DVFS lane " << i << " diverged";
     }
 }
 

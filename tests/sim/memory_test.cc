@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "sim/counters.hh"
 #include "sim/memory.hh"
@@ -67,6 +68,35 @@ TEST(SparseMemory, WriteBlock)
     EXPECT_EQ(m.read(4090, 1), 1u);
     EXPECT_EQ(m.read(4099, 1), 10u);
     EXPECT_EQ(m.pagesAllocated(), 2u);
+}
+
+TEST(SparseMemory, WriteBlockMatchesBytewiseWrites)
+{
+    // Unaligned starts, blocks inside one page, blocks ending exactly
+    // on a page boundary, and blocks spanning three pages: the bulk
+    // copy must leave the same bytes (and pages) as per-byte writes.
+    const Addr starts[] = {0, 1, 4095, 4096, 8190, 3 * 4096 - 7};
+    const std::size_t sizes[] = {1, 7, 4096 - 1, 4096, 4096 + 1, 2 * 4096 + 3};
+    for (const Addr start : starts) {
+        for (const std::size_t size : sizes) {
+            std::vector<std::uint8_t> block(size);
+            for (std::size_t i = 0; i < size; ++i)
+                block[i] = std::uint8_t(i * 37 + start);
+            SparseMemory bulk, bytewise;
+            bulk.writeBlock(start, block);
+            for (std::size_t i = 0; i < size; ++i)
+                bytewise.write(start + i, 1, block[i]);
+            EXPECT_EQ(bulk.pagesAllocated(), bytewise.pagesAllocated())
+                << start << "+" << size;
+            for (Addr a = start >= 8 ? start - 8 : 0; a < start + size + 8;
+                 ++a)
+                ASSERT_EQ(bulk.read(a, 1), bytewise.read(a, 1))
+                    << "byte " << a << " of " << start << "+" << size;
+        }
+    }
+    SparseMemory empty;
+    empty.writeBlock(123, {});
+    EXPECT_EQ(empty.pagesAllocated(), 0u);
 }
 
 TEST(SparseMemory, ClearReleases)
