@@ -60,12 +60,6 @@ echo "== microbenchmarks =="
     2>&1 >results/BENCH_sim.json | tee -a results/bench_output.txt
 echo "sim throughput: results/BENCH_sim.json" \
     | tee -a results/bench_output.txt
-# Same shape for the stats engine: store-read and bootstrap
-# throughput, serial reference vs fast arms, bitwise-checked.
-"$BUILD"/bench/microbench_stats_throughput --jobs "$JOBS" \
-    2>&1 >results/BENCH_stats.json | tee -a results/bench_output.txt
-echo "stats throughput: results/BENCH_stats.json" \
-    | tee -a results/bench_output.txt
 # Fold every BENCH_*.json headline into the per-PR trajectory table.
 scripts/bench_report.sh | tee -a results/bench_output.txt
 

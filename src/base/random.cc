@@ -72,13 +72,6 @@ Rng::nextIndex(std::uint64_t bound)
     return ((next() >> 32) * bound) >> 32;
 }
 
-std::uint64_t
-Rng::stateWord(unsigned i) const
-{
-    mbias_assert(i < 4, "xoshiro256 has 4 state words");
-    return s_[i];
-}
-
 std::int64_t
 Rng::nextRange(std::int64_t lo, std::int64_t hi)
 {

@@ -29,22 +29,14 @@ class Rng
      * Returns a near-uniform integer in [0, bound) using exactly one
      * next() call (multiply-shift on the high 32 bits); requires
      * bound <= 2^32.  Unlike nextBounded's rejection loop, this draw
-     * is a fixed-length computation, which is what makes the stats
-     * engine's SIMD/parallel resampling bitwise-reproducible: each
+     * is a fixed-length computation, so the stats engine's bootstrap
+     * draw d of resample r is a pure function of (seed, r, d): each
      * draw consumes exactly one generator step regardless of value.
      * The price is a deterministic selection bias of at most
      * bound/2^32 per draw (< 2^-22 for any campaign-sized bound) —
      * identical on every path, so it can never cause a divergence.
      */
     std::uint64_t nextIndex(std::uint64_t bound);
-
-    /**
-     * Exposes state word @p i (0..3) of the xoshiro256** state.
-     * Read-only; exists so vectorized engines can transpose freshly
-     * seeded generators into SIMD lanes and still produce the exact
-     * sequence this scalar generator would.
-     */
-    std::uint64_t stateWord(unsigned i) const;
 
     /** Returns a uniform integer in [lo, hi] (inclusive). */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);

@@ -79,8 +79,9 @@ analyzeStore(const std::string &path, const AnalyzeOptions &opts)
     a.records = cols.rows();
     a.tornLines = cols.tornLines;
     a.provenanceJson = cols.provenanceJson;
-    mbias_assert(a.records >= 2,
-                 "store analysis needs >= 2 records: ", path);
+    if (a.records < 2)
+        mbias_fatal("store analysis needs >= 2 records, '", path,
+                    "' has ", a.records);
 
     // Moments and quantiles in one pass over the column (exact
     // quantiles until a store outgrows the reservoir).

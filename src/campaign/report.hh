@@ -108,7 +108,8 @@ struct StoreAnalysis
 
 /**
  * Reads @p path once (columnar fast path) and analyzes the speedup
- * column.  Requires at least two records.
+ * column.  Fewer than two records is fatal (a `fatal:` diagnostic
+ * naming the path, exit 1).
  */
 StoreAnalysis analyzeStore(const std::string &path,
                            const AnalyzeOptions &opts = {});

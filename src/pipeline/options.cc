@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -18,13 +19,22 @@ isFlag(const char *tok)
     return std::strncmp(tok, "--", 2) == 0;
 }
 
+/** Decimal digits only (no sign, no blanks), at most @p max: a value
+ *  that would wrap in the destination type is rejected, not cut. */
 std::uint64_t
-parseUint(const char *flag, const char *value)
+parseUint(const char *flag, const char *value, std::uint64_t max)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
-        mbias_fatal("bad value for ", flag, ": '", value, "'");
+    std::uint64_t v = 0;
+    const char *p = value;
+    do { // an empty value fails the digit test on its terminator
+        if (*p < '0' || *p > '9')
+            mbias_fatal("bad value for ", flag, ": '", value, "'");
+        const unsigned digit = unsigned(*p - '0');
+        if (v > (max - digit) / 10)
+            mbias_fatal("value for ", flag, " out of range: '", value,
+                        "' (max ", max, ")");
+        v = v * 10 + digit;
+    } while (*++p);
     return v;
 }
 
@@ -56,13 +66,16 @@ parsePipelineArgs(int argc, char **argv)
             o.artifactCache = false;
         } else if (std::strcmp(a, "--jobs") == 0) {
             if (hasValue)
-                o.jobs = unsigned(parseUint(a, argv[++i]));
+                o.jobs = unsigned(parseUint(
+                    a, argv[++i], std::numeric_limits<unsigned>::max()));
         } else if (std::strcmp(a, "--seed") == 0) {
             if (hasValue)
-                o.seed = parseUint(a, argv[++i]);
+                o.seed = parseUint(
+                    a, argv[++i], std::numeric_limits<std::uint64_t>::max());
         } else if (std::strcmp(a, "--resamples") == 0) {
             if (hasValue)
-                o.resamples = int(parseUint(a, argv[++i]));
+                o.resamples = int(parseUint(
+                    a, argv[++i], std::numeric_limits<int>::max()));
         } else if (std::strcmp(a, "--confidence") == 0) {
             if (hasValue)
                 o.confidence = parseDouble(a, argv[++i]);
@@ -75,8 +88,10 @@ parsePipelineArgs(int argc, char **argv)
     }
     if (o.jobs < 1)
         mbias_fatal("--jobs must be >= 1");
-    if (o.confidence &&
-        (*o.confidence <= 0.0 || *o.confidence >= 1.0))
+    if (o.resamples && *o.resamples != 0 && *o.resamples < 10)
+        mbias_fatal("--resamples must be 0 (no bootstrap) or >= 10");
+    // Written so that a NaN confidence fails the check too.
+    if (o.confidence && !(*o.confidence > 0.0 && *o.confidence < 1.0))
         mbias_fatal("--confidence must be in (0, 1)");
     return parsed;
 }

@@ -67,7 +67,9 @@ struct ParsedArgs
  * value as the next token (`--jobs 8`); a value flag at the end of the
  * line, or one followed by another `--flag`, is ignored — wrapper
  * scripts can pass harness-wide flag sets, matching the historical
- * leniency of the bench arg scanner.  Malformed values are fatal.
+ * leniency of the bench arg scanner.  Malformed values are fatal:
+ * integer flags take decimal digits only and must fit their field
+ * (--jobs >= 1; --resamples 0 for no bootstrap, or >= 10).
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
 

@@ -140,13 +140,9 @@ struct LaneState
 std::string
 activeSimTierDescription()
 {
-#if !MBIAS_SIM_FASTPATH_ENABLED
-    return "reference (-DMBIAS_SIM_FASTPATH=OFF)";
-#else
     if (referenceForcedByEnv())
         return "reference (MBIAS_SIM_REFERENCE set)";
     return "fast + lanes";
-#endif
 }
 
 /** Per-run pipeline/timing state. */
@@ -819,11 +815,7 @@ Machine::run(const toolchain::ProcessImage &image, std::uint64_t max_insts,
 bool
 Machine::fastTierUsable() const
 {
-#if MBIAS_SIM_FASTPATH_ENABLED
     return useFastPath_ && !referenceForcedByEnv();
-#else
-    return false;
-#endif
 }
 
 std::vector<RunResult>

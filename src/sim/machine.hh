@@ -26,10 +26,9 @@ struct FunctionalTrace; // sim/replay.hh
 
 /**
  * Human-readable description of the sim tier run() would pick for a
- * plain deterministic run right now — build flags and environment
- * escape hatches folded in ("fast + lanes", or
- * "reference (MBIAS_SIM_REFERENCE set)", or
- * "reference (-DMBIAS_SIM_FASTPATH=OFF)").  Recorded by `mbias
+ * plain deterministic run right now — the environment escape hatch
+ * folded in ("fast + lanes", or
+ * "reference (MBIAS_SIM_REFERENCE set)").  Recorded by `mbias
  * list`/`mbias workloads` so provenance explains perf deltas between
  * hosts.
  */
@@ -85,8 +84,8 @@ struct RunResult
  * performing the identical component accesses in the identical order,
  * so its RunResult is bitwise equal by construction.  The fast tier
  * takes every unprofiled, unattributed run; it can be disabled per
- * machine (setUseFastPath(false)), per process (MBIAS_SIM_REFERENCE=1
- * in the environment), or at build time (-DMBIAS_SIM_FASTPATH=OFF).
+ * machine (setUseFastPath(false)) or per process
+ * (MBIAS_SIM_REFERENCE=1 in the environment).
  *
  * Repetition families — the same program re-run under many ASLR or
  * env-size layouts, or many noise seeds — run as *lockstep lanes*

@@ -82,20 +82,6 @@ TEST(Rng, NextIndexDegenerateAndFullRange)
     EXPECT_EQ(seen.size(), 4u);
 }
 
-TEST(Rng, StateWordsExposeGeneratorState)
-{
-    Rng a(47), b(47);
-    for (unsigned w = 0; w < 4; ++w)
-        EXPECT_EQ(a.stateWord(w), b.stateWord(w));
-    a.next();
-    bool changed = false;
-    for (unsigned w = 0; w < 4; ++w)
-        changed |= a.stateWord(w) != b.stateWord(w);
-    EXPECT_TRUE(changed);
-    // Reading state never advances it.
-    EXPECT_EQ(b.next(), Rng(47).next());
-}
-
 TEST(Rng, DoubleInUnitInterval)
 {
     Rng rng(11);

@@ -87,4 +87,46 @@ TEST(PipelineOptions, ValueFlagWithoutValueIsIgnored)
     EXPECT_TRUE(chained.options.quiet);
 }
 
+TEST(PipelineOptions, IntegerFlagsAcceptTheirWholeRange)
+{
+    const auto p = parse({"--jobs", "4294967295", "--seed",
+                          "18446744073709551615", "--resamples",
+                          "2147483647"});
+    EXPECT_EQ(p.options.jobs, 4294967295u);
+    EXPECT_EQ(p.options.seedOr(0), 18446744073709551615u);
+    EXPECT_EQ(p.options.resamplesOr(0), 2147483647);
+    EXPECT_EQ(parse({"--resamples", "0"}).options.resamplesOr(7), 0);
+    EXPECT_EQ(parse({"--resamples", "10"}).options.resamplesOr(0), 10);
+}
+
+TEST(PipelineOptionsDeathTest, RejectsMalformedAndOutOfRangeValues)
+{
+    // Integers take digits only, within the field's range: a sign or
+    // a value too wide for the field must not parse to some other
+    // number.  A NaN confidence must not slip past the range check.
+    const std::vector<std::vector<const char *>> bad = {
+        {"--jobs", "-1"},
+        {"--jobs", "+4"},
+        {"--jobs", "4294967297"},
+        {"--jobs", "0"},
+        {"--jobs", " 4"},
+        {"--jobs", ""},
+        {"--seed", "-1"},
+        {"--seed", "18446744073709551616"},
+        {"--resamples", "-3"},
+        {"--resamples", "4294967306"},
+        {"--resamples", "2147483648"},
+        {"--resamples", "1"},
+        {"--resamples", "9"},
+        {"--confidence", "nan"},
+        {"--confidence", "1"},
+    };
+    for (const auto &args : bad) {
+        const std::string flag = args[0];
+        EXPECT_EXIT(parse(args), testing::ExitedWithCode(1),
+                    "fatal: .*" + flag)
+            << flag << " '" << args[1] << "'";
+    }
+}
+
 } // namespace

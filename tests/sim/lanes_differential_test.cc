@@ -377,14 +377,12 @@ TEST(LanesDifferential, NoisySingleRunMatchesReference)
 
 TEST(LanesDifferential, HatchesAndTierReporting)
 {
-    // fastTierUsable composes the build switch, MBIAS_SIM_REFERENCE
-    // and the per-machine toggle; with it off, runLanes is per-lane
-    // reference runs and counts no lane batch.  The active-tier
-    // description advertises the same verdict.
+    // fastTierUsable composes MBIAS_SIM_REFERENCE and the per-machine
+    // toggle; with it off, runLanes is per-lane reference runs and
+    // counts no lane batch.  The active-tier description advertises
+    // the same verdict.
     sim::Machine machine(sim::MachineConfig::core2Like());
-    const bool active = MBIAS_SIM_FASTPATH_ENABLED &&
-                        !sim::referenceForcedByEnv();
-    EXPECT_EQ(machine.fastTierUsable(), active);
+    EXPECT_EQ(machine.fastTierUsable(), !sim::referenceForcedByEnv());
     machine.setUseFastPath(false);
     EXPECT_FALSE(machine.fastTierUsable());
     const auto images = draws(kernelProgram(), 3, 5);
@@ -399,14 +397,10 @@ TEST(LanesDifferential, HatchesAndTierReporting)
                                        sim::NoiseModel::none()));
 
     const std::string desc = sim::activeSimTierDescription();
-#if MBIAS_SIM_FASTPATH_ENABLED
     if (sim::referenceForcedByEnv())
         EXPECT_EQ(desc, "reference (MBIAS_SIM_REFERENCE set)");
     else
         EXPECT_EQ(desc, "fast + lanes");
-#else
-    EXPECT_EQ(desc, "reference (-DMBIAS_SIM_FASTPATH=OFF)");
-#endif
 }
 
 TEST(LanesDifferential, BenchmarkCompatibilityWrappers)

@@ -1,19 +1,18 @@
 /**
  * @file
- * The stats engine's bitwise contract: the optimized bootstrap and
- * ANOVA paths must reproduce the serial reference exactly — at any
- * jobs setting, with or without SIMD, and the reference itself must
- * match the documented per-stream contract hand-rolled in this file.
+ * The stats engine's bitwise contract: the chunked, parallel bootstrap
+ * must reproduce the documented per-stream contract, hand-rolled in
+ * this file as the oracle, exactly — at any jobs setting and at every
+ * chunk edge.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "base/random.hh"
 #include "base/seeding.hh"
-#include "stats/anova2.hh"
 #include "stats/engine.hh"
 
 namespace
@@ -59,77 +58,48 @@ contractMeans(const std::vector<double> &data, std::uint64_t seed, int R)
     return out;
 }
 
+/** Type-7 quantile of a sorted vector (Sample::quantile's formula). */
+double
+sortedQuantile(const std::vector<double> &s, double q)
+{
+    const double pos = q * double(s.size() - 1);
+    const std::size_t lo = std::size_t(pos);
+    const std::size_t hi = std::min(lo + 1, s.size() - 1);
+    const double frac = pos - double(lo);
+    return s[lo] * (1.0 - frac) + s[hi] * frac;
+}
+
 Engine
-makeEngine(unsigned jobs, bool force_serial = false,
-           bool force_scalar = false)
+makeEngine(unsigned jobs)
 {
     EngineOptions eo;
     eo.jobs = jobs;
-    eo.forceSerial = force_serial;
-    eo.forceScalar = force_scalar;
     return Engine(eo);
 }
 
-TEST(Engine, SerialReferenceMatchesContract)
+TEST(Engine, MatchesContractOracle)
 {
-    const auto data = speedupLike(53, 7);
-    const auto ref = makeEngine(1, true).bootstrapMeans(data, 42, 200);
-    EXPECT_EQ(ref, contractMeans(data, 42, 200));
-}
-
-TEST(Engine, FastPathMatchesSerialBitwise)
-{
-    // 1037 resamples: full SIMD blocks, a partial block tail, and a
-    // partial chunk — every code path in one differential.
+    // Resample counts straddle the 1024-resample chunk edges; jobs 1
+    // runs the chunks inline, so it is the serial reference.
     const auto data = speedupLike(129, 11);
-    const auto serial = makeEngine(1, true).bootstrapMeans(data, 9, 1037);
-    const auto fast = makeEngine(1).bootstrapMeans(data, 9, 1037);
-    EXPECT_EQ(serial, fast);
-
-    const auto ciS = makeEngine(1, true).bootstrapInterval(data, 9, 1037);
-    const auto ciF = makeEngine(1).bootstrapInterval(data, 9, 1037);
-    EXPECT_EQ(ciS.lower, ciF.lower);
-    EXPECT_EQ(ciS.upper, ciF.upper);
-    EXPECT_EQ(ciS.estimate, ciF.estimate);
-}
-
-TEST(Engine, BootstrapBitwiseIdenticalAcrossJobs)
-{
-    const auto data = speedupLike(257, 13);
-    const auto one = makeEngine(1).bootstrapMeans(data, 5, 3000);
-    for (unsigned jobs : {2u, 8u}) {
-        EXPECT_EQ(one, makeEngine(jobs).bootstrapMeans(data, 5, 3000));
-        const auto ci1 = makeEngine(1).bootstrapInterval(data, 5, 3000);
-        const auto ciJ =
-            makeEngine(jobs).bootstrapInterval(data, 5, 3000);
-        EXPECT_EQ(ci1.lower, ciJ.lower);
-        EXPECT_EQ(ci1.upper, ciJ.upper);
-        EXPECT_EQ(ci1.estimate, ciJ.estimate);
+    for (int resamples : {1, 31, 1023, 1024, 1025, 3000}) {
+        const auto oracle = contractMeans(data, 9, resamples);
+        for (unsigned jobs : {1u, 2u, 8u}) {
+            SCOPED_TRACE(testing::Message() << "resamples " << resamples
+                                            << " jobs " << jobs);
+            const Engine engine = makeEngine(jobs);
+            EXPECT_EQ(engine.bootstrapMeans(data, 9, resamples), oracle);
+            if (resamples < 10)
+                continue; // bootstrapInterval needs >= 10 resamples
+            const auto ci = engine.bootstrapInterval(data, 9, resamples);
+            std::vector<double> sorted = oracle;
+            std::sort(sorted.begin(), sorted.end());
+            EXPECT_EQ(ci.lower, sortedQuantile(sorted, 0.025));
+            EXPECT_EQ(ci.upper, sortedQuantile(sorted, 0.975));
+            EXPECT_EQ(ci.estimate,
+                      compensatedMean(data.data(), data.size()));
+        }
     }
-}
-
-TEST(Engine, ScalarAndSimdBlocksAgreeBitwise)
-{
-    if (!Engine::simdAvailable())
-        GTEST_SKIP() << "no AVX-512 kernel on this host";
-    const auto data = speedupLike(75, 17);
-    EXPECT_EQ(makeEngine(1, false, true).bootstrapMeans(data, 3, 500),
-              makeEngine(1).bootstrapMeans(data, 3, 500));
-}
-
-TEST(Engine, EnvEscapeHatchPinsSerial)
-{
-    const auto data = speedupLike(40, 19);
-    const auto fast = makeEngine(4).bootstrapInterval(data, 21, 400);
-    ::setenv("MBIAS_STATS_SERIAL", "1", 1);
-    const Engine pinned = makeEngine(4);
-    EXPECT_TRUE(pinned.usingSerial());
-    const auto ci = pinned.bootstrapInterval(data, 21, 400);
-    ::unsetenv("MBIAS_STATS_SERIAL");
-    // The hatch changes the implementation, never the bits.
-    EXPECT_EQ(ci.lower, fast.lower);
-    EXPECT_EQ(ci.upper, fast.upper);
-    EXPECT_EQ(ci.estimate, fast.estimate);
 }
 
 TEST(Engine, IntervalShapeAndEstimate)
@@ -143,60 +113,24 @@ TEST(Engine, IntervalShapeAndEstimate)
     EXPECT_LT(ci.upper, 1.5);
 }
 
-std::vector<std::vector<Sample>>
-anovaCells(unsigned na, unsigned nb, unsigned reps, std::uint64_t seed)
+TEST(Bootstrap, ContainsMeanAndIsDeterministic)
 {
-    Rng rng(seed);
-    std::vector<std::vector<Sample>> cells(na,
-                                           std::vector<Sample>(nb));
-    for (unsigned a = 0; a < na; ++a)
-        for (unsigned b = 0; b < nb; ++b)
-            for (unsigned r = 0; r < reps; ++r)
-                cells[a][b].add(5.0 + 2.0 * a + 0.5 * b +
-                                rng.nextGaussian());
-    return cells;
+    const std::vector<double> data{1.0, 2.0, 3.0, 4.0,
+                                   5.0, 6.0, 7.0, 8.0};
+    const auto a = makeEngine(1).bootstrapInterval(data, 3, 500);
+    const auto b = makeEngine(1).bootstrapInterval(data, 3, 500);
+    EXPECT_EQ(a.lower, b.lower);
+    EXPECT_EQ(a.upper, b.upper);
+    EXPECT_TRUE(a.contains(4.5));
+    EXPECT_GT(a.upper, a.lower);
 }
 
-TEST(Engine, AnovaBitwiseIdenticalAcrossJobs)
+TEST(Bootstrap, DegenerateSampleCollapses)
 {
-    const auto cells = anovaCells(4, 3, 6, 29);
-    const auto one = makeEngine(1).twoWayAnova(cells);
-    for (unsigned jobs : {2u, 8u}) {
-        const auto j = makeEngine(jobs).twoWayAnova(cells);
-        EXPECT_EQ(one.ssA, j.ssA);
-        EXPECT_EQ(one.ssB, j.ssB);
-        EXPECT_EQ(one.ssAB, j.ssAB);
-        EXPECT_EQ(one.ssWithin, j.ssWithin);
-        EXPECT_EQ(one.fA, j.fA);
-        EXPECT_EQ(one.fB, j.fB);
-        EXPECT_EQ(one.fAB, j.fAB);
-        EXPECT_EQ(one.pA, j.pA);
-        EXPECT_EQ(one.pB, j.pB);
-        EXPECT_EQ(one.pAB, j.pAB);
-    }
-    // The serial engine path agrees with the parallel one bitwise too.
-    const auto s = makeEngine(1, true).twoWayAnova(cells);
-    EXPECT_EQ(one.ssA, s.ssA);
-    EXPECT_EQ(one.ssWithin, s.ssWithin);
-    EXPECT_EQ(one.pAB, s.pAB);
-}
-
-TEST(Engine, AnovaAgreesWithLegacyToRounding)
-{
-    // The legacy twoWayAnova associates its sums differently, so the
-    // agreement is to rounding, not bitwise (see engine.hh).
-    const auto cells = anovaCells(3, 3, 8, 31);
-    const auto e = makeEngine(2).twoWayAnova(cells);
-    const auto l = twoWayAnova(cells);
-    EXPECT_NEAR(e.ssA, l.ssA, 1e-9 * std::abs(l.ssA) + 1e-12);
-    EXPECT_NEAR(e.ssB, l.ssB, 1e-9 * std::abs(l.ssB) + 1e-12);
-    EXPECT_NEAR(e.ssAB, l.ssAB, 1e-9 * std::abs(l.ssAB) + 1e-12);
-    EXPECT_NEAR(e.ssWithin, l.ssWithin,
-                1e-9 * std::abs(l.ssWithin) + 1e-12);
-    EXPECT_NEAR(e.fA, l.fA, 1e-8 * std::abs(l.fA) + 1e-12);
-    EXPECT_NEAR(e.pA, l.pA, 1e-8);
-    EXPECT_EQ(e.dfA, l.dfA);
-    EXPECT_EQ(e.dfWithin, l.dfWithin);
+    const std::vector<double> data{5.0, 5.0, 5.0, 5.0};
+    const auto ci = makeEngine(1).bootstrapInterval(data, 1, 200);
+    EXPECT_DOUBLE_EQ(ci.lower, 5.0);
+    EXPECT_DOUBLE_EQ(ci.upper, 5.0);
 }
 
 TEST(CompensatedSum, CancellationExact)

@@ -416,6 +416,9 @@ cmdAnalyze(const Args &args)
     campaign::AnalyzeOptions opts;
     opts.jobs = args.shared.jobs;
     opts.resamples = args.shared.resamplesOr(1000);
+    if (opts.resamples == 0)
+        mbias_fatal("analyze needs --resamples >= 10 (it always "
+                    "bootstraps)");
     opts.confidence = args.shared.confidenceOr(0.95);
     opts.seed = args.shared.seedOr(42);
     obs::Registry metrics;
