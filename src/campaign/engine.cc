@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "base/logging.hh"
@@ -33,6 +34,54 @@ struct TaskResult
     double treatMetric = 0.0;
 };
 
+/** True for the plans whose tasks run one deterministic run per side
+ *  and so batch across tasks as env-size families. */
+bool
+batchesAcrossTasks(RepetitionPlan::Kind kind)
+{
+    return kind == RepetitionPlan::Kind::Single ||
+           kind == RepetitionPlan::Kind::BaselineOnly;
+}
+
+/**
+ * Executes a family chunk: Single or BaselineOnly tasks that share the
+ * campaign's experiment and one link order, so each side is one
+ * runner.runSides() lane family.  Result k is exactly what running
+ * task k alone gives.
+ */
+std::vector<TaskResult>
+executeFamily(core::ExperimentRunner &runner, RepetitionPlan::Kind kind,
+              const std::vector<core::ExperimentSetup> &setups)
+{
+    const core::ExperimentSpec &spec = runner.spec();
+    const auto base = runner.runSides(spec.baseline, setups, false);
+    std::vector<sim::RunResult> treat;
+    if (kind == RepetitionPlan::Kind::Single)
+        treat = runner.runSides(spec.treatment, setups, true);
+    std::vector<TaskResult> out(setups.size());
+    for (std::size_t k = 0; k < setups.size(); ++k) {
+        TaskResult &r = out[k];
+        r.outcome.setup = setups[k];
+        r.outcome.baseline = base[k];
+        r.baseMetric = runner.metricOf(base[k]);
+        if (kind == RepetitionPlan::Kind::Single) {
+            // One paired baseline/treatment run per setup.
+            r.outcome.treatment = treat[k];
+            r.treatMetric = runner.metricOf(treat[k]);
+            mbias_assert(r.treatMetric > 0.0, "degenerate metric");
+            r.outcome.speedup = r.baseMetric / r.treatMetric;
+        } else {
+            // One observed side, full RunResult kept (the causal sweep
+            // reads every counter, not just the metric).
+            r.outcome.treatment.halted = true;
+            r.treatMetric = r.baseMetric;
+            r.outcome.speedup = 1.0;
+        }
+    }
+    return out;
+}
+
+/** Executes one task of a plan that does not batch across tasks. */
 TaskResult
 executeTask(core::ExperimentRunner &runner, const CampaignTask &task)
 {
@@ -40,10 +89,8 @@ executeTask(core::ExperimentRunner &runner, const CampaignTask &task)
     TaskResult r;
     switch (task.plan.kind) {
       case RepetitionPlan::Kind::Single:
-        r.outcome = runner.run(task.setup);
-        r.baseMetric = runner.metricOf(r.outcome.baseline);
-        r.treatMetric = runner.metricOf(r.outcome.treatment);
-        return r;
+      case RepetitionPlan::Kind::BaselineOnly:
+        break; // batched across tasks: executeFamily
 
       case RepetitionPlan::Kind::AslrRandomized: {
         // Each side draws its per-run layout seeds from a stream
@@ -63,17 +110,6 @@ executeTask(core::ExperimentRunner &runner, const CampaignTask &task)
         r.outcome.speedup = r.baseMetric / r.treatMetric;
         return r;
       }
-
-      case RepetitionPlan::Kind::BaselineOnly:
-        // One observed side, full RunResult kept (the causal sweep
-        // reads every counter, not just the metric).
-        r.outcome.setup = task.setup;
-        r.outcome.baseline = runner.runSide(spec.baseline, task.setup);
-        r.outcome.treatment.halted = true;
-        r.baseMetric = r.treatMetric =
-            runner.metricOf(r.outcome.baseline);
-        r.outcome.speedup = 1.0;
-        return r;
 
       case RepetitionPlan::Kind::NoiseRepeated: {
         // The conventional repeat-k-times methodology on the baseline
@@ -110,7 +146,7 @@ executeTask(core::ExperimentRunner &runner, const CampaignTask &task)
         return r;
       }
     }
-    mbias_panic("unknown repetition plan kind ", int(task.plan.kind));
+    mbias_panic("no per-task executor for plan kind ", int(task.plan.kind));
 }
 
 /**
@@ -183,6 +219,43 @@ class ProgressMeter
     std::condition_variable cv_;
     bool stop_ = false;
 };
+
+/**
+ * Groups the tasks left to execute (@p pending, in index order) into
+ * scheduling units, ordered by each unit's first task.  A Single or
+ * BaselineOnly task joins the other such tasks of its link order —
+ * within one campaign the workload, toolchains, machines and sp-align
+ * are shared, so they form an env-size family — cut into chunks of
+ * kLaneWidth; every other task is a unit of its own.  A pure function
+ * of the task list, so no --jobs value changes it.
+ */
+std::vector<std::vector<std::size_t>>
+schedulingUnits(const std::vector<CampaignTask> &tasks,
+                const std::vector<std::size_t> &pending)
+{
+    std::vector<std::vector<std::size_t>> units;
+    std::unordered_map<std::uint64_t, std::size_t> openChunk; // by order
+    for (const std::size_t i : pending) {
+        const CampaignTask &task = tasks[i];
+        if (!batchesAcrossTasks(task.plan.kind)) {
+            units.push_back({i});
+            continue;
+        }
+        const std::uint64_t order = task.setup.linkOrder.fingerprint();
+        const auto it = openChunk.find(order);
+        if (it != openChunk.end()) {
+            auto &chunk = units[it->second];
+            if (chunk.size() < sim::Machine::kLaneWidth &&
+                tasks[chunk[0]].setup.linkOrder == task.setup.linkOrder) {
+                chunk.push_back(i);
+                continue;
+            }
+        }
+        openChunk[order] = units.size();
+        units.push_back({i});
+    }
+    return units;
+}
 
 std::uint64_t
 microsSince(std::chrono::steady_clock::time_point t0)
@@ -274,76 +347,95 @@ CampaignEngine::run()
     } detachMetrics{opts_.artifactCache ? &artifacts : nullptr};
 
     parallel::ThreadPool pool(opts_.jobs, &metrics);
-    ResultCache cache(&metrics);
     std::vector<core::RunOutcome> results(tasks.size());
-    // One runner per worker: with the shared artifact cache runners
-    // are cheap handles; without it each keeps a private compile memo
-    // that must stay on its own thread.
+    // One runner per worker: it owns the worker's simulated machines,
+    // and without the shared artifact cache a private compile memo
+    // too — both must stay on its own thread.
     std::vector<std::unique_ptr<core::ExperimentRunner>> runners(
         pool.jobs());
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> resumed{0};
-    std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> done{0};
 
     // Hot-path metric handles, resolved once (registry lookups take a
     // lock; Counter::add / Histogram::record do not).
     obs::Counter &cExecuted = metrics.counter("engine.executed");
-    obs::Counter &cResumed = metrics.counter("engine.store_hits");
     obs::Histogram &hExecute = metrics.histogram("task.execute_us");
     obs::Histogram &hTask = metrics.histogram("task.total_us");
 
+    // Tasks the store already holds are served before scheduling.  Of
+    // the rest, only the first task of each content address runs; its
+    // repeats (duplicate setups) take its outcome afterwards.  So the
+    // family chunks below hold each address once, and what executes is
+    // a pure function of the task list, whatever --jobs is.
+    std::vector<std::size_t> pending;
+    std::vector<std::pair<std::size_t, std::size_t>> repeats; // (i, first)
+    std::unordered_map<std::string, std::size_t> firstOf;
+    std::uint64_t resumed = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (const TaskRecord *rec = store ? store->find(keys[i]) : nullptr) {
+            results[i] = rec->toOutcome();
+            ++resumed;
+            continue;
+        }
+        const auto [it, first] = firstOf.emplace(keys[i], i);
+        if (first)
+            pending.push_back(i);
+        else
+            repeats.emplace_back(i, it->second);
+    }
+    metrics.counter("engine.store_hits").add(resumed);
+    metrics.counter("cache.misses").add(pending.size());
+    metrics.counter("cache.hits").add(repeats.size());
+    done.store(resumed + repeats.size());
+    const auto units = schedulingUnits(tasks, pending);
+
+    const std::atomic<std::uint64_t> cacheHits{repeats.size()};
     ProgressMeter meter(opts_.progress, tasks.size(), done, cacheHits);
 
-    pool.parallelFor(tasks.size(), [&](std::size_t i, unsigned w) {
-        const auto taskStart = std::chrono::steady_clock::now();
+    pool.parallelFor(units.size(), [&](std::size_t u, unsigned w) {
+        const auto unitStart = std::chrono::steady_clock::now();
+        const std::vector<std::size_t> &unit = units[u];
         obs::ScopedSpan taskSpan("task", "campaign",
-                                 "{\"task\":" + std::to_string(i) +
-                                     "}");
-        const CampaignTask &task = tasks[i];
-        const std::string &key = keys[i];
-
-        if (store) {
-            if (const TaskRecord *rec = store->find(key)) {
-                results[i] = rec->toOutcome();
-                resumed.fetch_add(1, std::memory_order_relaxed);
-                cResumed.add();
-                done.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-        }
-        if (cache.lookup(key, results[i])) {
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-            done.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-
+                                 "{\"task\":" + std::to_string(unit[0]) +
+                                     ",\"tasks\":" +
+                                     std::to_string(unit.size()) + "}");
         if (!runners[w]) {
             obs::ScopedSpan span("runner-init", "campaign");
-            runners[w] = std::make_unique<core::ExperimentRunner>(
-                spec_.experiment);
+            runners[w] =
+                std::make_unique<core::ExperimentRunner>(spec_.experiment);
             runners[w]->setMetrics(&metrics);
-            runners[w]->setArtifactCache(
-                opts_.artifactCache ? &artifacts : nullptr);
+            runners[w]->setArtifactCache(opts_.artifactCache ? &artifacts
+                                                             : nullptr);
             if (spec_.spAlign != 0)
                 runners[w]->setSpAlignOverride(spec_.spAlign);
         }
         const auto execStart = std::chrono::steady_clock::now();
-        const TaskResult r = executeTask(*runners[w], task);
-        hExecute.record(microsSince(execStart));
-        executed.fetch_add(1, std::memory_order_relaxed);
-        cExecuted.add();
-        results[i] = r.outcome;
-        cache.insert(key, r.outcome);
-        if (store) {
-            obs::ScopedSpan span("store-append", "campaign");
-            store->append(TaskRecord::make(key, task, r.outcome,
-                                           r.baseMetric,
-                                           r.treatMetric));
+        std::vector<TaskResult> rs;
+        const RepetitionPlan::Kind kind = tasks[unit[0]].plan.kind;
+        if (batchesAcrossTasks(kind)) {
+            std::vector<core::ExperimentSetup> setups;
+            for (const std::size_t i : unit)
+                setups.push_back(tasks[i].setup);
+            rs = executeFamily(*runners[w], kind, setups);
+        } else {
+            rs.push_back(executeTask(*runners[w], tasks[unit[0]]));
         }
-        hTask.record(microsSince(taskStart));
-        done.fetch_add(1, std::memory_order_relaxed);
+        hExecute.record(microsSince(execStart));
+        for (std::size_t k = 0; k < unit.size(); ++k) {
+            const std::size_t i = unit[k];
+            const TaskResult &r = rs[k];
+            cExecuted.add();
+            results[i] = r.outcome;
+            if (store) {
+                obs::ScopedSpan span("store-append", "campaign");
+                store->append(TaskRecord::make(keys[i], tasks[i], r.outcome,
+                                               r.baseMetric, r.treatMetric));
+            }
+            done.fetch_add(1, std::memory_order_relaxed);
+        }
+        hTask.record(microsSince(unitStart));
     });
+    for (const auto &[i, first] : repeats)
+        results[i] = results[first];
 
     CampaignReport report;
     {
@@ -366,9 +458,9 @@ CampaignEngine::run()
         }
     }
     report.stats.totalTasks = tasks.size();
-    report.stats.executed = executed.load();
-    report.stats.cacheHits = cache.hits();
-    report.stats.resumedFromStore = resumed.load();
+    report.stats.executed = pending.size();
+    report.stats.cacheHits = repeats.size();
+    report.stats.resumedFromStore = resumed;
     report.stats.jobs = pool.jobs();
     report.stats.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

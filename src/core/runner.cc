@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 #include <utility>
 
 #include "base/logging.hh"
+#include "core/memo.hh"
 #include "obs/trace.hh"
 #include "toolchain/linker.hh"
 #include "toolchain/loader.hh"
@@ -40,6 +42,8 @@ ExperimentRunner::setMetrics(obs::Registry *metrics)
     runHistogram_ =
         metrics ? &metrics->histogram("runner.run_us") : nullptr;
     laneCounter_ = metrics ? &metrics->counter("runner.lanes") : nullptr;
+    memoHitCounter_ =
+        metrics ? &metrics->counter("runner.memo_hits") : nullptr;
 }
 
 toolchain::ModulesPtr
@@ -70,14 +74,15 @@ ExperimentRunner::compiledModules(const toolchain::ToolchainSpec &tc)
         return it->second;
     auto mods = std::make_shared<toolchain::CompiledModules>();
     mods->modules = produce();
+    std::tie(mods->fingerprintHi, mods->fingerprintLo) =
+        toolchain::fingerprintModules(mods->modules);
     return localModules_.emplace(key, std::move(mods)).first->second;
 }
 
 toolchain::ProgramPtr
-ExperimentRunner::linkedProgram(const toolchain::ToolchainSpec &tc,
+ExperimentRunner::linkedProgram(const toolchain::ModulesPtr &mods,
                                 const toolchain::LinkOrder &order)
 {
-    auto mods = compiledModules(tc);
     if (artifacts_)
         return artifacts_->linked(mods, order);
     toolchain::Linker linker;
@@ -95,16 +100,105 @@ ExperimentRunner::loaderConfigFor(const ExperimentSetup &setup) const
     return lc;
 }
 
-toolchain::ProcessImage
-ExperimentRunner::materialize(const toolchain::ToolchainSpec &tc,
-                              const ExperimentSetup &setup)
+const sim::MachineConfig &
+ExperimentRunner::machineConfig(bool treatment_side) const
 {
-    obs::ScopedSpan span("setup-materialize", "runner");
-    auto prog = linkedProgram(tc, setup.linkOrder);
-    const toolchain::LoaderConfig lc = loaderConfigFor(setup);
-    if (artifacts_)
-        return artifacts_->image(prog, lc);
-    return toolchain::Loader::load(std::move(prog), lc);
+    return treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
+                                                    : spec_.machine;
+}
+
+sim::Machine &
+ExperimentRunner::machine(bool treatment_side)
+{
+    auto &m = machines_[treatment_side && spec_.treatmentMachine ? 1 : 0];
+    if (!m)
+        m = std::make_unique<sim::Machine>(machineConfig(treatment_side));
+    return *m;
+}
+
+std::vector<sim::RunResult>
+ExperimentRunner::runFamily(const toolchain::ToolchainSpec &tc,
+                            const toolchain::LinkOrder &order,
+                            bool treatment_side,
+                            const std::vector<Draw> &draws)
+{
+    constexpr std::uint64_t budget = sim::Machine::kDefaultRunBudget;
+    const sim::MachineConfig &mc = machineConfig(treatment_side);
+    const toolchain::ModulesPtr mods = compiledModules(tc);
+    RunMemo &memo = RunMemo::global();
+    std::vector<sim::RunResult> out(draws.size());
+    std::vector<RunKey> keys(draws.size());
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+        keys[i] =
+            runKey(*mods, order, draws[i].loader, mc, budget, draws[i].noise);
+        if (memo.lookup(keys[i], out[i])) {
+            if (memoHitCounter_)
+                memoHitCounter_->add();
+        } else {
+            todo.push_back(i);
+        }
+    }
+    if (todo.empty())
+        return out;
+
+    std::vector<toolchain::ProcessImage> images(todo.size());
+    {
+        obs::ScopedSpan span("setup-materialize", "runner");
+        const toolchain::ProgramPtr prog = linkedProgram(mods, order);
+        for (std::size_t k = 0; k < todo.size(); ++k) {
+            const toolchain::LoaderConfig &lc = draws[todo[k]].loader;
+            images[k] = artifacts_ && lc.aslrSeed == 0
+                            ? artifacts_->image(prog, lc)
+                            : toolchain::Loader::load(prog, lc);
+        }
+    }
+
+    // Every lane's result is bitwise the one its own run() would give
+    // (tests/sim/lanes_differential_test.cc); a lone draw is a plain
+    // run.
+    sim::Machine &m = machine(treatment_side);
+    std::vector<sim::Machine::Lane> lanes;
+    std::vector<sim::RunResult> results;
+    for (std::size_t first = 0; first < todo.size();
+         first += sim::Machine::kLaneWidth) {
+        const std::size_t n =
+            std::min<std::size_t>(sim::Machine::kLaneWidth,
+                                  todo.size() - first);
+        obs::ScopedSpan runSpan("run", "runner");
+        const auto t0 = std::chrono::steady_clock::now();
+        if (n == 1) {
+            results.assign(1, m.run(images[first], budget,
+                                    draws[todo[first]].noise));
+        } else {
+            lanes.clear();
+            for (std::size_t k = first; k < first + n; ++k)
+                lanes.push_back({&images[k], draws[todo[k]].noise});
+            results = m.runLanes(lanes, budget);
+            if (laneCounter_)
+                laneCounter_->add(n);
+        }
+        if (runHistogram_)
+            runHistogram_->record(microsSince(t0));
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t i = todo[first + k];
+            mbias_assert(results[k].halted, "workload did not halt: ",
+                         spec_.workload);
+            out[i] = results[k];
+            memo.insert(keys[i], results[k]);
+        }
+    }
+    return out;
+}
+
+stats::Sample
+ExperimentRunner::metricSample(
+    const std::vector<sim::RunResult> &results) const
+{
+    stats::Sample out;
+    for (const auto &rr : results)
+        out.add(metricOf(rr));
+    return out;
 }
 
 sim::RunResult
@@ -112,18 +206,25 @@ ExperimentRunner::runSide(const toolchain::ToolchainSpec &tc,
                           const ExperimentSetup &setup,
                           bool treatment_side)
 {
-    auto image = materialize(tc, setup);
-    const sim::MachineConfig &mc =
-        treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
-                                                 : spec_.machine;
-    sim::Machine machine(mc);
-    obs::ScopedSpan runSpan("run", "runner");
-    const auto t0 = std::chrono::steady_clock::now();
-    auto rr = machine.run(image);
-    if (runHistogram_)
-        runHistogram_->record(microsSince(t0));
-    mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
-    return rr;
+    return runFamily(tc, setup.linkOrder, treatment_side,
+                     {Draw{loaderConfigFor(setup)}})[0];
+}
+
+std::vector<sim::RunResult>
+ExperimentRunner::runSides(const toolchain::ToolchainSpec &tc,
+                           const std::vector<ExperimentSetup> &setups,
+                           bool treatment_side)
+{
+    if (setups.empty())
+        return {};
+    std::vector<Draw> draws;
+    draws.reserve(setups.size());
+    for (const auto &s : setups) {
+        mbias_assert(s.linkOrder == setups[0].linkOrder,
+                     "an env-size family shares one link order");
+        draws.push_back({loaderConfigFor(s)});
+    }
+    return runFamily(tc, setups[0].linkOrder, treatment_side, draws);
 }
 
 sim::RunResult
@@ -133,15 +234,19 @@ ExperimentRunner::runProfiled(const toolchain::ToolchainSpec &tc,
                               sim::Attribution *attribution,
                               bool treatment_side)
 {
-    auto image = materialize(tc, setup);
-    const sim::MachineConfig &mc =
-        treatment_side && spec_.treatmentMachine ? *spec_.treatmentMachine
-                                                 : spec_.machine;
-    sim::Machine machine(mc);
+    toolchain::ProcessImage image;
+    {
+        obs::ScopedSpan span("setup-materialize", "runner");
+        auto prog = linkedProgram(compiledModules(tc), setup.linkOrder);
+        const toolchain::LoaderConfig lc = loaderConfigFor(setup);
+        image = artifacts_ ? artifacts_->image(prog, lc)
+                           : toolchain::Loader::load(std::move(prog), lc);
+    }
+    sim::Machine &m = machine(treatment_side);
     obs::ScopedSpan runSpan("run-profiled", "runner");
     const auto t0 = std::chrono::steady_clock::now();
-    auto rr = machine.run(image, sim::Machine::kDefaultRunBudget,
-                          sim::NoiseModel::none(), profile, attribution);
+    auto rr = m.run(image, sim::Machine::kDefaultRunBudget,
+                    sim::NoiseModel::none(), profile, attribution);
     if (runHistogram_)
         runHistogram_->record(microsSince(t0));
     mbias_assert(rr.halted, "workload did not halt: ", spec_.workload);
@@ -156,14 +261,13 @@ ExperimentRunner::repeatedMetric(const toolchain::ToolchainSpec &tc,
                                  const sim::NoiseModel &noise_template)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    const auto image = materialize(tc, setup);
     // Rep r's model: the caller's template with seed base + r (the
     // default template reproduces the historical withSeed(base + r)).
-    return runLaneBatches(reps, [&](unsigned rep) {
-        sim::Machine::Lane lane{&image, noise_template};
-        lane.noise.seed = noise_seed_base + rep;
-        return lane;
-    });
+    std::vector<Draw> draws(reps, Draw{loaderConfigFor(setup),
+                                       noise_template});
+    for (unsigned rep = 0; rep < reps; ++rep)
+        draws[rep].noise.seed = noise_seed_base + rep;
+    return metricSample(runFamily(tc, setup.linkOrder, false, draws));
 }
 
 stats::Sample
@@ -173,55 +277,12 @@ ExperimentRunner::aslrRandomizedMetric(const toolchain::ToolchainSpec &tc,
                                        std::uint64_t aslr_seed_base)
 {
     mbias_assert(reps >= 1, "need at least one repetition");
-    toolchain::ProgramPtr prog;
-    {
-        obs::ScopedSpan span("setup-materialize", "runner");
-        prog = linkedProgram(tc, setup.linkOrder);
-    }
-    // Each rep loads under a fresh ASLR seed; these one-shot layouts
-    // bypass the artifact cache on purpose (they would only displace
-    // reusable entries).  ASLR moves only the stack, so every draw is
-    // a lane of the same program.
-    std::vector<toolchain::ProcessImage> images(reps);
-    return runLaneBatches(reps, [&](unsigned rep) {
-        toolchain::LoaderConfig lc = loaderConfigFor(setup);
-        lc.aslrSeed = aslr_seed_base + rep;
-        images[rep] = toolchain::Loader::load(prog, lc);
-        return sim::Machine::Lane{&images[rep], sim::NoiseModel::none()};
-    });
-}
-
-template <class LaneFor>
-stats::Sample
-ExperimentRunner::runLaneBatches(unsigned reps, LaneFor &&lane_for)
-{
-    // A repetition family shares its functional execution, so its reps
-    // run as lockstep lanes of the fast tier, kLaneWidth at a time;
-    // every lane's result is bitwise the one its own run() would give
-    // (tests/sim/lanes_differential_test.cc).
-    sim::Machine machine(spec_.machine);
-    stats::Sample out;
-    std::vector<sim::Machine::Lane> lanes;
-    for (unsigned first = 0; first < reps;
-         first += sim::Machine::kLaneWidth) {
-        const unsigned n = std::min(sim::Machine::kLaneWidth, reps - first);
-        obs::ScopedSpan runSpan("run", "runner");
-        lanes.clear();
-        for (unsigned r = first; r < first + n; ++r)
-            lanes.push_back(lane_for(r));
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto results = machine.runLanes(lanes);
-        if (runHistogram_)
-            runHistogram_->record(microsSince(t0));
-        if (laneCounter_)
-            laneCounter_->add(n);
-        for (const auto &rr : results) {
-            mbias_assert(rr.halted, "workload did not halt: ",
-                         spec_.workload);
-            out.add(metricOf(rr));
-        }
-    }
-    return out;
+    // Each rep loads under a fresh ASLR seed.  ASLR moves only the
+    // stack, so every draw is a lane of the same program.
+    std::vector<Draw> draws(reps, Draw{loaderConfigFor(setup)});
+    for (unsigned rep = 0; rep < reps; ++rep)
+        draws[rep].loader.aslrSeed = aslr_seed_base + rep;
+    return metricSample(runFamily(tc, setup.linkOrder, false, draws));
 }
 
 double

@@ -2,6 +2,7 @@
 #define MBIAS_CORE_RUNNER_HH
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -57,9 +58,15 @@ double metricValue(Metric metric, const sim::RunResult &rr);
  * artifacts are immutable, so results are identical to recomputing.
  * setArtifactCache(nullptr) opts out: the runner then keeps only a
  * private per-toolchain compile memo and re-links/re-loads per task
- * (the pre-cache behavior, kept as the benchmark baseline).  In that
- * mode the private memo is unsynchronized, so keep the runner on one
- * thread — which the campaign engine does anyway (runner per worker).
+ * (the pre-cache behavior, kept as the benchmark baseline).
+ *
+ * Runs are simulated at most once per process: every deterministic
+ * run first asks the process-wide RunMemo (core/memo.hh), and the
+ * misses run on the runner's own Machine for that side, which it
+ * keeps and reuses across runs.  The machines (and, without the
+ * artifact cache, the private compile memo) are unsynchronized, so
+ * keep a runner on one thread — which the campaign engine does anyway
+ * (runner per worker).
  */
 class ExperimentRunner
 {
@@ -80,6 +87,18 @@ class ExperimentRunner
     sim::RunResult runSide(const toolchain::ToolchainSpec &tc,
                            const ExperimentSetup &setup,
                            bool treatment_side = false);
+
+    /**
+     * runSide() over an env-size family: @p setups share one link
+     * order and differ only in envBytes, so they load the same
+     * program with different stack placements and run as lockstep
+     * lanes.  Result i is bitwise runSide(tc, setups[i],
+     * treatment_side).
+     */
+    std::vector<sim::RunResult>
+    runSides(const toolchain::ToolchainSpec &tc,
+             const std::vector<ExperimentSetup> &setups,
+             bool treatment_side = false);
 
     /**
      * runSide() with per-function profiling and optional per-set
@@ -142,8 +161,9 @@ class ExperimentRunner
 
     /**
      * Attaches a metrics registry: the runner then counts
-     * `runner.compiles` and `runner.lanes` (repetitions run as lanes)
-     * and records `runner.run_us` per simulated side or lane batch.
+     * `runner.compiles`, `runner.lanes` (runs simulated as lanes of a
+     * batch) and `runner.memo_hits` (runs served by the RunMemo), and
+     * records `runner.run_us` per single run or lane batch.
      * @p metrics must outlive the runner; nullptr detaches.
      * (Span tracing is independent of this — spans go to the global
      * Tracer whenever a session is active.)
@@ -155,39 +175,59 @@ class ExperimentRunner
     toolchain::ModulesPtr
     compiledModules(const toolchain::ToolchainSpec &tc);
 
-    /** The program of (@p tc, @p order): cached link or fresh link. */
-    toolchain::ProgramPtr
-    linkedProgram(const toolchain::ToolchainSpec &tc,
-                  const toolchain::LinkOrder &order);
+    /** The program of (@p mods, @p order): cached link or fresh link. */
+    toolchain::ProgramPtr linkedProgram(const toolchain::ModulesPtr &mods,
+                                        const toolchain::LinkOrder &order);
 
     /** The setup's LoaderConfig (envBytes + sp-align override). */
     toolchain::LoaderConfig
     loaderConfigFor(const ExperimentSetup &setup) const;
 
-    /**
-     * Materializes one setup end to end — compile on miss, link in
-     * the setup's order, load with the setup's environment block —
-     * one definition for every run flavor above.
-     */
-    toolchain::ProcessImage
-    materialize(const toolchain::ToolchainSpec &tc,
-                const ExperimentSetup &setup);
+    /** The machine config of one side (the treatment machine only in
+     *  hardware studies). */
+    const sim::MachineConfig &machineConfig(bool treatment_side) const;
+
+    /** The runner's Machine for that config, built once and reused by
+     *  every later run (its timing state is reset, not rebuilt). */
+    sim::Machine &machine(bool treatment_side);
+
+    /** One run of a family: its load and its noise model. */
+    struct Draw
+    {
+        toolchain::LoaderConfig loader;
+        sim::NoiseModel noise = sim::NoiseModel::none();
+    };
 
     /**
-     * Runs reps 0..@p reps-1 of a repetition family as lockstep lanes
-     * on the spec's machine, one `run` span per batch; @p lane_for(r)
-     * builds rep r's lane (its image must outlive the call).  Returns
-     * the metric sample in rep order.
+     * Runs @p draws of the program (@p tc, @p order) on one side's
+     * machine: the single definition every run flavor above goes
+     * through.  Draws the process-wide RunMemo knows cost a lookup;
+     * the rest are materialized (compile on miss, link once, one load
+     * per draw — ASLR draws bypass the artifact cache, since their
+     * one-shot layouts would only displace reusable entries) and run
+     * as lockstep lanes, kLaneWidth per `run` span.  Result i is
+     * bitwise the RunResult of draw i run on its own.
      */
-    template <class LaneFor>
-    stats::Sample runLaneBatches(unsigned reps, LaneFor &&lane_for);
+    std::vector<sim::RunResult> runFamily(const toolchain::ToolchainSpec &tc,
+                                          const toolchain::LinkOrder &order,
+                                          bool treatment_side,
+                                          const std::vector<Draw> &draws);
+
+    /** The metric sample of a family's results, in draw order. */
+    stats::Sample metricSample(const std::vector<sim::RunResult> &results)
+        const;
 
     ExperimentSpec spec_;
     std::uint64_t spAlign_ = 0;
     obs::Counter *compileCounter_ = nullptr;
     obs::Histogram *runHistogram_ = nullptr;
     obs::Counter *laneCounter_ = nullptr;
+    obs::Counter *memoHitCounter_ = nullptr;
     toolchain::ArtifactCache *artifacts_;
+
+    /** Baseline-side machine, and the treatment machine of hardware
+     *  studies; built on first use. */
+    std::unique_ptr<sim::Machine> machines_[2];
 
     /** Per-toolchain compile memo for the cache-off mode only. */
     std::map<std::pair<int, int>, toolchain::ModulesPtr> localModules_;

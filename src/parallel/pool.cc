@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -12,8 +13,16 @@
 namespace mbias::parallel
 {
 
+unsigned
+workerCount(unsigned jobs, unsigned hardware_threads)
+{
+    const std::uint64_t cap = std::uint64_t(kWorkersPerHardwareThread) *
+                              std::max(hardware_threads, 1u);
+    return unsigned(std::clamp<std::uint64_t>(jobs, 1, cap));
+}
+
 ThreadPool::ThreadPool(unsigned jobs, obs::Registry *metrics)
-    : jobs_(std::max(jobs, 1u))
+    : jobs_(workerCount(jobs, std::thread::hardware_concurrency()))
 {
     if (metrics) {
         tasks_ = &metrics->counter("pool.tasks");

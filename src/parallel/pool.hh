@@ -9,6 +9,19 @@
 namespace mbias::parallel
 {
 
+/** Workers a pool may start per hardware thread. */
+inline constexpr unsigned kWorkersPerHardwareThread = 4;
+
+/**
+ * The worker count of a pool asked for @p jobs workers on a host with
+ * @p hardware_threads hardware threads (0 = unknown, taken as 1):
+ * @p jobs clamped to [1, kWorkersPerHardwareThread * hardware_threads].
+ * More workers than that only add threads (and each campaign worker's
+ * simulated machines) without adding throughput; task results never
+ * depend on the count.
+ */
+unsigned workerCount(unsigned jobs, unsigned hardware_threads);
+
 /**
  * A work-stealing pool for index-based task sets.
  *
@@ -28,7 +41,8 @@ class ThreadPool
 {
   public:
     /**
-     * @p jobs is the worker count; 0 is treated as 1.  With a
+     * @p jobs is the requested worker count, clamped by
+     * workerCount() to this host (0 is treated as 1).  With a
      * @p metrics registry the pool records `pool.tasks` (schedule
      * independent), `pool.steals`, and the `pool.queue_wait_us`
      * histogram (both schedule dependent by nature), and each

@@ -19,8 +19,18 @@ isFlag(const char *tok)
     return std::strncmp(tok, "--", 2) == 0;
 }
 
-/** Decimal digits only (no sign, no blanks), at most @p max: a value
- *  that would wrap in the destination type is rejected, not cut. */
+double
+parseDouble(const char *flag, const char *value)
+{
+    char *end = nullptr;
+    const double v = std::strtod(value, &end);
+    if (end == value || *end != '\0')
+        mbias_fatal("bad value for ", flag, ": '", value, "'");
+    return v;
+}
+
+} // namespace
+
 std::uint64_t
 parseUint(const char *flag, const char *value, std::uint64_t max)
 {
@@ -37,18 +47,6 @@ parseUint(const char *flag, const char *value, std::uint64_t max)
     } while (*++p);
     return v;
 }
-
-double
-parseDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        mbias_fatal("bad value for ", flag, ": '", value, "'");
-    return v;
-}
-
-} // namespace
 
 ParsedArgs
 parsePipelineArgs(int argc, char **argv)

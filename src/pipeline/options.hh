@@ -73,6 +73,16 @@ struct ParsedArgs
  */
 ParsedArgs parsePipelineArgs(int argc, char **argv);
 
+/**
+ * The integer value of @p flag: decimal digits only (no sign, no
+ * blanks), at most @p max.  Anything else — including a value that
+ * would wrap in the destination type — is fatal, with a diagnostic
+ * naming the flag.  Every integer flag of every entry point goes
+ * through here.
+ */
+std::uint64_t parseUint(const char *flag, const char *value,
+                        std::uint64_t max);
+
 /** Applies --quiet/--verbose to the global logging switch. */
 void applyLogging(const PipelineOptions &opts);
 

@@ -1,7 +1,59 @@
 #include "sim/config.hh"
 
+#include "base/hash.hh"
+
 namespace mbias::sim
 {
+
+// fingerprint() lists every field of these structs by hand.  A field
+// added to one of them without extending the list would let two
+// machines that differ only in it share RunMemo entries, so the sizes
+// are pinned (on LP64 libstdc++, where they were taken): a new field
+// fails the build here until fingerprint() covers it and the size is
+// updated.  (A bool that fits in trailing padding slips through.)
+#if defined(__LP64__) && defined(__GLIBCXX__)
+static_assert(sizeof(MachineConfig) == 280,
+              "MachineConfig changed: extend MachineConfig::fingerprint()");
+static_assert(sizeof(uarch::CacheConfig) == 32,
+              "CacheConfig changed: extend MachineConfig::fingerprint()");
+static_assert(sizeof(uarch::TlbConfig) == 16,
+              "TlbConfig changed: extend MachineConfig::fingerprint()");
+#endif
+
+std::uint64_t
+MachineConfig::fingerprint() const
+{
+    Fnv1a h;
+    h.str(name);
+    for (const std::uint64_t v :
+         {std::uint64_t(fetchBlockBytes), std::uint64_t(fetchWidth),
+          branchMispredictPenalty, btbMissPenalty, std::uint64_t(btbSets),
+          std::uint64_t(btbWays), std::uint64_t(predictor),
+          std::uint64_t(predictorTableBits),
+          std::uint64_t(predictorHistoryBits)})
+        h.u64(v);
+    for (const uarch::CacheConfig *c : {&icache, &dcache, &l2})
+        for (const std::uint64_t v :
+             {std::uint64_t(c->sets), std::uint64_t(c->ways),
+              std::uint64_t(c->lineBytes), c->hitLatency, c->missPenalty})
+            h.u64(v);
+    for (const uarch::TlbConfig *t : {&itlb, &dtlb})
+        for (const std::uint64_t v :
+             {std::uint64_t(t->entries), std::uint64_t(t->pageBytes),
+              t->missPenalty})
+            h.u64(v);
+    for (const std::uint64_t v :
+         {std::uint64_t(storeBufferEntries), std::uint64_t(aliasWindowBits),
+          aliasPenalty, lineSplitPenalty,
+          std::uint64_t(enableNextLinePrefetch), std::uint64_t(core),
+          intMulLatency, intDivLatency, oooWindowCycles, fetchRealignPenalty,
+          std::uint64_t(enableFetchBlockModel), std::uint64_t(enableBtb),
+          std::uint64_t(enableStoreBufferAliasing),
+          std::uint64_t(enableLineSplitPenalty), std::uint64_t(enableCaches),
+          std::uint64_t(enableTlbs), std::uint64_t(enableBranchPrediction)})
+        h.u64(v);
+    return h.value();
+}
 
 MachineConfig
 MachineConfig::core2Like()

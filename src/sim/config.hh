@@ -125,6 +125,14 @@ struct MachineConfig
     static MachineConfig inorderLike();
 
     /**
+     * Content hash of every field, the name included.  Machines are
+     * identified by it, not by name: the ablation variants keep their
+     * preset's name.  Extend it with every field added above; the
+     * size checks next to it in config.cc fail the build until then.
+     */
+    std::uint64_t fingerprint() const;
+
+    /**
      * The three preset machines, in paper order.  This is the *paper*
      * subset — consumers that want every registered backend (including
      * non-paper cores like inorderLike()) go through

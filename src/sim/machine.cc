@@ -86,13 +86,43 @@ makePredictor(const MachineConfig &c)
 struct LaneState
 {
     LaneState(const MachineConfig &c, unsigned sb_entries,
-              std::size_t sb_index_size, const NoiseModel &n)
+              std::size_t sb_index_size)
         : icache(c.icache), dcache(c.dcache), l2(c.l2), dtlb(c.dtlb),
           sbMasked(sb_entries, ~std::uint64_t(0)), sbAddr(sb_entries, 0),
           sbSize(sb_entries, 0), sbIcount(sb_entries, 0),
-          sbIndex(sb_index_size, 0), noise(n),
-          noiseRng(n.seed ^ 0x05e1f00dULL), dvfsRng(n.seed ^ 0xd7f5c10cULL)
+          sbIndex(sb_index_size, 0)
     {
+    }
+
+    /**
+     * Returns the lane to its freshly constructed state for a run under
+     * @p n: the shadows empty, the store buffer drained, the counters
+     * zero and the noise streams reseeded.  Only the store buffer's
+     * live slots are visited (the inverted index holds exactly their
+     * bits), so a reset costs O(entries), not a table fill.
+     */
+    void reset(const NoiseModel &n)
+    {
+        icache.reset();
+        dcache.reset();
+        l2.reset();
+        dtlb.reset();
+        if (!sbIndex.empty())
+            for (const std::uint64_t m : sbMasked)
+                if (m != ~std::uint64_t(0))
+                    sbIndex[m] = 0;
+        std::fill(sbMasked.begin(), sbMasked.end(), ~std::uint64_t(0));
+        std::fill(sbAddr.begin(), sbAddr.end(), 0);
+        std::fill(sbSize.begin(), sbSize.end(), 0);
+        std::fill(sbIcount.begin(), sbIcount.end(), 0);
+        ctrs.reset();
+        lastCodeLine = ~Addr(0);
+        stackDelta = 0;
+        noise = n;
+        noiseRng = Rng(n.seed ^ 0x05e1f00dULL);
+        nextInterrupt = ~Cycles(0);
+        dvfsRng = Rng(n.seed ^ 0xd7f5c10cULL);
+        nextDvfs = ~Cycles(0);
     }
 
     ShadowCache icache;
@@ -137,6 +167,36 @@ struct LaneState
 
 } // namespace
 
+/** The fast tier's timing state, kept by the machine across runs. */
+struct Machine::LaneArena
+{
+    LaneArena(const MachineConfig &c, unsigned sb_entries,
+              std::size_t sb_index_size)
+        : sbEntries(sb_entries), sbIndexSize(sb_index_size), itlb(c.itlb)
+    {
+        lanes.reserve(kLaneWidth);
+    }
+
+    /** The first @p n lanes, reset for @p run_lanes' noise models;
+     *  lanes are built (for config @p c) on first use and kept for
+     *  later runs. */
+    LaneState *prepare(const MachineConfig &c, const Lane *run_lanes,
+                       unsigned n)
+    {
+        while (lanes.size() < n)
+            lanes.emplace_back(c, sbEntries, sbIndexSize);
+        for (unsigned l = 0; l < n; ++l)
+            lanes[l].reset(run_lanes[l].noise);
+        itlb.reset();
+        return lanes.data();
+    }
+
+    unsigned sbEntries;
+    std::size_t sbIndexSize;
+    std::vector<LaneState> lanes;
+    ShadowTlb itlb; ///< shared by the lanes of a batch
+};
+
 std::string
 activeSimTierDescription()
 {
@@ -175,6 +235,8 @@ Machine::Machine(const MachineConfig &config)
       storeBuffer_(config.storeBufferEntries, config.aliasWindowBits)
 {
 }
+
+Machine::~Machine() = default;
 
 void
 Machine::fetchAccounting(Pipeline &pipe, Addr pc, unsigned size,
@@ -986,29 +1048,28 @@ Machine::runPlanImpl(const Lane *lanes, unsigned n, std::uint64_t max_insts,
     const bool sb_index_ok =
         sb_bitmap_ok && alias_mask < (std::uint64_t(1) << 16);
 
-    // Per-lane shadows: freshly constructed = freshly reset, so their
-    // access outcomes — the only thing the counters observe — match
-    // each lane's reference components access for access.
-    std::vector<LaneState> lane_state;
-    lane_state.reserve(nl);
+    // Per-lane shadows, reset to exactly their freshly constructed
+    // state, so their access outcomes — the only thing the counters
+    // observe — match each lane's reference components access for
+    // access.
+    if (!arena_)
+        arena_ = std::make_unique<LaneArena>(
+            config_, sb_entries,
+            sb_index_ok ? std::size_t(alias_mask) + 1 : 0);
+    LaneState *const L = arena_->prepare(config_, lanes, nl);
     bool noise_on = false, dvfs_on = false;
     for (unsigned l = 0; l < nl; ++l) {
-        lane_state.emplace_back(config_, sb_entries,
-                                sb_index_ok ? std::size_t(alias_mask) + 1
-                                            : 0,
-                                lanes[l].noise);
-        lane_state[l].stackDelta =
+        L[l].stackDelta =
             lanes[l].image->initialSp - image.initialSp; // mod 2^64
         noise_on |= kBatch && lanes[l].noise.enabled;
         dvfs_on |= kBatch && lanes[l].noise.dvfsEnabled;
     }
-    LaneState *const L = lane_state.data();
     // Stack-region addresses: half of lane 0's stack top lies far above
     // any data/heap address and far below any stack address, for every
     // preset layout.
     const Addr stack_boundary = image.stackTop >> 1;
     const bool icache_shared = !noise_on;
-    ShadowTlb s_itlb(config_.itlb);
+    ShadowTlb &s_itlb = arena_->itlb;
 
     // Lane clocks (see above) and register-ready times, lane-minor so
     // one instruction's lane loop walks contiguous words.

@@ -76,6 +76,11 @@ struct RunResult
  *
  * Determinism: given the same ProcessImage and config, run() returns
  * bit-identical results.  All components start cold on each run().
+ * A Machine is meant to be kept and reused across runs: the fast
+ * tier's per-lane timing state lives in an arena the machine owns,
+ * and each run resets it (ShadowCache in O(1) by generation stamps)
+ * instead of allocating and zero-filling it again — a reused machine
+ * returns exactly what a freshly constructed one would.
  *
  * Two tiers implement run().  The *reference* interpreter walks the
  * linker's PlacedInst records directly; the *fast tier* walks a
@@ -99,6 +104,7 @@ class Machine
 {
   public:
     explicit Machine(const MachineConfig &config);
+    ~Machine();
 
     /** Default instruction budget for run() — shared with every
      *  ExperimentRunner call site so budget changes can't skew one
@@ -171,6 +177,7 @@ class Machine
 
   private:
     struct Pipeline; // per-run timing state
+    struct LaneArena; // the fast tier's reusable per-lane state
 
     /** The plan-based interpreter behind run() and runLanes(); see
      *  the class comment.  kBatch = false is the single noise-free run
@@ -211,6 +218,10 @@ class Machine
     std::unique_ptr<uarch::BranchPredictor> predictor_;
     uarch::Btb btb_;
     uarch::StoreBuffer storeBuffer_;
+
+    /** Built on the first fast-tier run, grown to the widest batch
+     *  seen, and reset (not reallocated) by every later run. */
+    std::unique_ptr<LaneArena> arena_;
 
     /** Live only inside run() when the caller passed an Attribution
      *  sink; lets fetchAccounting()/memoryAccess() record placement. */

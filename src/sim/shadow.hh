@@ -1,6 +1,7 @@
 #ifndef MBIAS_SIM_SHADOW_HH
 #define MBIAS_SIM_SHADOW_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,13 @@ namespace mbias::sim
  * counters derived from it are bitwise identical; only the reference
  * interpreter's own Cache instances accumulate internal hit/miss
  * statistics, which nothing outside the machine observes.
+ *
+ * reset() is O(1): each set carries the generation its slots were
+ * last written in, and a set whose stamp is stale reads as empty — it
+ * is zeroed on its first touch after the reset.  That is exactly a
+ * zero fill of the whole array, paid per set actually used, so a
+ * machine can keep one 512 KiB L2 shadow across runs instead of
+ * allocating and faulting in a fresh one per run.
  */
 struct ShadowCache
 {
@@ -30,18 +38,32 @@ struct ShadowCache
     std::uint64_t setMask;
     /** slots[set * ways + way] = (tag << 1) | 1, MRU-first; 0 empty. */
     std::vector<std::uint64_t> slots;
+    /** stamps[set]: the generation slots[set * ways ...] belong to. */
+    std::vector<std::uint32_t> stamps;
+    /** The live generation; never 0, which marks never-touched sets. */
+    std::uint32_t generation = 1;
 
     explicit ShadowCache(const uarch::CacheConfig &c)
         : shift(floorLog2(c.lineBytes)), ways(c.ways), setMask(c.sets - 1),
-          slots(std::size_t(c.sets) * c.ways, 0)
+          slots(std::size_t(c.sets) * c.ways, 0), stamps(c.sets, 0)
     {
+    }
+
+    /** Empties every set (see the class comment). */
+    void reset()
+    {
+        if (++generation == 0) {
+            // Wrapped: stamps from 2^32 resets ago would read as live.
+            std::fill(stamps.begin(), stamps.end(), 0);
+            generation = 1;
+        }
     }
 
     bool access(Addr addr)
     {
         const std::uint64_t tag = addr >> shift;
         const std::uint64_t key = (tag << 1) | 1;
-        std::uint64_t *base = slots.data() + std::size_t(tag & setMask) * ways;
+        std::uint64_t *base = set(tag & setMask);
         for (unsigned w = 0; w < ways; ++w) {
             if (base[w] == key) {
                 for (unsigned k = w; k > 0; --k)
@@ -60,14 +82,30 @@ struct ShadowCache
      *  is observationally identical to zeroing the packed slots here —
      *  a stale tag can never hit again, and invalid ways shift through
      *  the MRU order exactly like empty ones. */
-    void invalidateSet(std::uint64_t set)
+    void invalidateSet(std::uint64_t set_index)
     {
-        std::uint64_t *base = slots.data() + std::size_t(set & setMask) * ways;
+        std::uint64_t *base = set(set_index & setMask);
         for (unsigned w = 0; w < ways; ++w)
             base[w] = 0;
     }
 
-    std::uint64_t bytes() const { return slots.size() * sizeof(slots[0]); }
+    std::uint64_t bytes() const
+    {
+        return slots.size() * sizeof(slots[0]) +
+               stamps.size() * sizeof(stamps[0]);
+    }
+
+  private:
+    /** The ways of set @p s, emptied first if the set is stale. */
+    std::uint64_t *set(std::uint64_t s)
+    {
+        std::uint64_t *base = slots.data() + std::size_t(s) * ways;
+        if (stamps[std::size_t(s)] != generation) {
+            stamps[std::size_t(s)] = generation;
+            std::fill(base, base + ways, 0);
+        }
+        return base;
+    }
 };
 
 /**
@@ -91,6 +129,14 @@ class ShadowTlb
         shift_ = 64 - bits;
         table_.assign(std::size_t(1) << bits, kNone);
         mask_ = table_.size() - 1;
+    }
+
+    /** Empties the TLB: O(table), a few KiB at most. */
+    void reset()
+    {
+        std::fill(table_.begin(), table_.end(), kNone);
+        used_ = 0;
+        head_ = tail_ = kNone;
     }
 
     /** Touches @p vpn; true on a hit. */

@@ -7,11 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <vector>
 
 #include "campaign/engine.hh"
+#include "core/memo.hh"
+#include "core/runner.hh"
 #include "parallel/pool.hh"
 
 namespace
@@ -50,6 +53,27 @@ TEST(ThreadPool, MoreJobsThanTasks)
     zero.parallelFor(0, [&](std::size_t, unsigned) { FAIL(); });
 }
 
+TEST(ThreadPool, WorkerCountClampsToHardware)
+{
+    // The pure clamp behind the pool's constructor, checked without
+    // starting a thread: at least 1, at most a small multiple of the
+    // hardware threads (an unknown count, 0, counts as 1), whatever
+    // --jobs says.
+    using parallel::kWorkersPerHardwareThread;
+    using parallel::workerCount;
+    EXPECT_EQ(workerCount(0, 4), 1u);
+    EXPECT_EQ(workerCount(1, 4), 1u);
+    EXPECT_EQ(workerCount(8, 4), 8u);
+    EXPECT_EQ(workerCount(4 * kWorkersPerHardwareThread, 4),
+              4 * kWorkersPerHardwareThread);
+    EXPECT_EQ(workerCount(4 * kWorkersPerHardwareThread + 1, 4),
+              4 * kWorkersPerHardwareThread);
+    EXPECT_EQ(workerCount(~0u, 4), 4 * kWorkersPerHardwareThread);
+    EXPECT_EQ(workerCount(~0u, 0), kWorkersPerHardwareThread);
+    EXPECT_EQ(workerCount(3, 0), std::min(3u, kWorkersPerHardwareThread));
+    EXPECT_EQ(workerCount(~0u, ~0u), ~0u);
+}
+
 TEST(ThreadPool, StealingDrainsImbalancedLoad)
 {
     // Worker 0's share is made artificially slow; the others must
@@ -68,10 +92,12 @@ TEST(ThreadPool, StealingDrainsImbalancedLoad)
     EXPECT_EQ(done.load(), count);
 }
 
-/** Speedup bit patterns of a campaign run with @p jobs workers. */
+/** Speedup bit patterns of a campaign run with @p jobs workers, with
+ *  the run memo cold so that every run is simulated. */
 std::vector<std::uint64_t>
 speedupBits(const CampaignSpec &spec, unsigned jobs)
 {
+    core::RunMemo::global().clear();
     CampaignOptions opts;
     opts.jobs = jobs;
     auto report = CampaignEngine(spec, opts).run();
@@ -105,6 +131,71 @@ TEST(CampaignDeterminism, AslrPlanIsScheduleIndependent)
         .withPlan({campaign::RepetitionPlan::Kind::AslrRandomized, 5})
         .withSeed(7);
     EXPECT_EQ(speedupBits(spec, 1), speedupBits(spec, 8));
+}
+
+// Single and BaselineOnly tasks run as env-size family chunks (one
+// lane batch per side for up to kLaneWidth tasks of one link order).
+// Every outcome must be the one its task gives run alone, at any
+// --jobs, and a repeated setup runs once, whether its first
+// occurrence is in the same chunk or in another one.
+TEST(CampaignDeterminism, EnvFamiliesMatchTaskByTaskRuns)
+{
+    std::vector<core::ExperimentSetup> setups;
+    for (unsigned i = 0; i < 19; ++i) {
+        core::ExperimentSetup s;
+        s.envBytes = 211 * i;
+        s.linkOrder = i % 3 ? toolchain::LinkOrder::shuffled(9)
+                            : toolchain::LinkOrder::asGiven();
+        setups.push_back(s);
+    }
+    // Link order shuffled(9) has tasks 1, 2, 4, ..., 16, 17: a chunk of
+    // eight and a chunk of four.  Task 19 repeats task 16 (second
+    // chunk), task 20 repeats task 1 (first chunk); neither may run.
+    setups.push_back(setups[16]);
+    setups.push_back(setups[1]);
+    for (const auto kind : {campaign::RepetitionPlan::Kind::Single,
+                            campaign::RepetitionPlan::Kind::BaselineOnly}) {
+        CampaignSpec spec;
+        spec.withExperiment(core::ExperimentSpec().withWorkload("hmmer"))
+            .withSetups(setups)
+            .withPlan({kind, 1});
+        // The oracle: each setup alone, on a runner of its own, with
+        // nothing remembered from earlier runs.
+        core::RunMemo::global().clear();
+        std::vector<core::RunOutcome> alone;
+        for (const auto &s : setups) {
+            core::ExperimentRunner runner(spec.experiment);
+            core::RunOutcome o;
+            o.baseline = runner.runSide(spec.experiment.baseline, s);
+            if (kind == campaign::RepetitionPlan::Kind::Single)
+                o.treatment =
+                    runner.runSide(spec.experiment.treatment, s, true);
+            alone.push_back(o);
+            core::RunMemo::global().clear();
+        }
+        for (const unsigned jobs : {1u, 3u}) {
+            SCOPED_TRACE("plan kind " + std::to_string(int(kind)) +
+                         " at --jobs " + std::to_string(jobs));
+            core::RunMemo::global().clear();
+            CampaignOptions opts;
+            opts.jobs = jobs;
+            const auto report = CampaignEngine(spec, opts).run();
+            ASSERT_EQ(report.bias.outcomes.size(), setups.size());
+            EXPECT_EQ(report.stats.executed, setups.size() - 2);
+            EXPECT_EQ(report.stats.cacheHits, 2u);
+            for (std::size_t i = 0; i < setups.size(); ++i) {
+                const auto &o = report.bias.outcomes[i];
+                EXPECT_EQ(o.setup, setups[i]);
+                EXPECT_EQ(o.baseline, alone[i].baseline)
+                    << "task " << i << " at --jobs " << jobs;
+                if (kind == campaign::RepetitionPlan::Kind::Single) {
+                    EXPECT_EQ(o.treatment, alone[i].treatment)
+                        << "task " << i << " at --jobs " << jobs;
+                }
+            }
+        }
+    }
+    core::RunMemo::global().clear();
 }
 
 TEST(CampaignDeterminism, ExpansionIsAPureFunctionOfSpec)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/engine.hh"
+#include "core/memo.hh"
 #include "core/runner.hh"
 #include "core/setup.hh"
 
@@ -17,9 +18,11 @@ namespace
 using namespace mbias;
 using Kind = campaign::RepetitionPlan::Kind;
 
+/** Runs @p cspec with the run memo cold, so every run is simulated. */
 campaign::CampaignReport
 run(const campaign::CampaignSpec &cspec, unsigned jobs)
 {
+    core::RunMemo::global().clear();
     campaign::CampaignOptions opts;
     opts.jobs = jobs;
     return campaign::CampaignEngine(cspec, opts).run();
@@ -35,6 +38,7 @@ TEST(RepetitionPlans, BaselineOnlyMatchesRunSide)
         .withPlan({Kind::BaselineOnly, 1});
     const auto report = run(cspec, 1);
 
+    core::RunMemo::global().clear(); // the reference simulates too
     core::ExperimentRunner runner(spec);
     ASSERT_EQ(report.bias.outcomes.size(), setups.size());
     for (std::size_t i = 0; i < setups.size(); ++i) {
@@ -58,6 +62,7 @@ TEST(RepetitionPlans, NoiseRepeatedMatchesRepeatedMetric)
         .withPlan({Kind::NoiseRepeated, 3});
     const auto report = run(cspec, 1);
 
+    core::RunMemo::global().clear(); // the reference simulates too
     core::ExperimentRunner runner(spec);
     ASSERT_EQ(report.bias.outcomes.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
@@ -78,6 +83,7 @@ TEST(RepetitionPlans, NoisePairedMatchesBothSides)
         .withPlan({Kind::NoisePaired, 4, 7919});
     const auto report = run(cspec, 1);
 
+    core::RunMemo::global().clear(); // the reference simulates too
     core::ExperimentRunner runner(spec);
     const auto base = runner.repeatedMetric(spec.baseline, s, 4, 0xfeed);
     const auto treat =
@@ -126,6 +132,7 @@ TEST(RepetitionPlans, SpAlignOverrideMatchesRunnerOverride)
         .withSpAlign(64);
     const auto report = run(cspec, 2);
 
+    core::RunMemo::global().clear(); // the reference simulates too
     core::ExperimentRunner runner(spec);
     runner.setSpAlignOverride(64);
     for (std::size_t i = 0; i < setups.size(); ++i) {

@@ -16,6 +16,7 @@
 
 #include "campaign/engine.hh"
 #include "campaign/store.hh"
+#include "core/memo.hh"
 #include "obs/provenance.hh"
 #include "toolchain/artifacts.hh"
 
@@ -189,9 +190,11 @@ TEST(ObsDeterminism, WorkCountersMatchAcrossJobCounts)
     // are exempt.  Run the same campaign serial and with 8 workers
     // and compare the deterministic subset.
     auto runWith = [](unsigned jobs) {
-        // The artifact cache is process-global; start each run cold
-        // so the compile count below is about *this* campaign.
+        // The artifact cache and the run memo are process-global;
+        // start each run cold so the compile count below is about
+        // *this* campaign and every run is simulated.
         toolchain::ArtifactCache::global().clear();
+        core::RunMemo::global().clear();
         CampaignOptions opts;
         opts.jobs = jobs;
         opts.outPath.clear(); // no store: pure compute

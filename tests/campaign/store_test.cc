@@ -23,7 +23,6 @@ using namespace mbias;
 using campaign::CampaignSpec;
 using campaign::CampaignTask;
 using campaign::RepetitionPlan;
-using campaign::ResultCache;
 using campaign::TaskRecord;
 using campaign::taskKey;
 
@@ -217,22 +216,6 @@ TEST(StoreColumns, DedupsOrdersAndCountsTorn)
     EXPECT_EQ(cols.speedup, (std::vector<double>{1.10, 1.75, 0.90}));
     EXPECT_EQ(cols.envBytes, (std::vector<std::uint64_t>{100, 200, 300}));
     std::filesystem::remove(path);
-}
-
-TEST(ResultCache, AccountsHits)
-{
-    ResultCache cache;
-    core::RunOutcome o;
-    o.speedup = 2.0;
-    core::RunOutcome got;
-    EXPECT_FALSE(cache.lookup("k1", got));
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.insert("k1", o);
-    EXPECT_TRUE(cache.lookup("k1", got));
-    EXPECT_TRUE(cache.lookup("k1", got));
-    EXPECT_EQ(got.speedup, 2.0);
-    EXPECT_FALSE(cache.lookup("k2", got));
-    EXPECT_EQ(cache.hits(), 2u);
 }
 
 // Duplicate setups in a campaign are content-address hits: only the

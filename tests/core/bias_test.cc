@@ -4,6 +4,7 @@
 #include "core/bias.hh"
 #include "core/causal.hh"
 #include "core/conclusion.hh"
+#include "core/memo.hh"
 #include "core/table.hh"
 
 namespace
@@ -36,6 +37,7 @@ TEST(Runner, SameSetupSameOutcome)
     ExperimentSetup s;
     s.envBytes = 300;
     auto a = runner.run(s);
+    RunMemo::global().clear(); // b reruns on the reused machines
     auto b = runner.run(s);
     EXPECT_EQ(a.baseline.cycles(), b.baseline.cycles());
     EXPECT_EQ(a.treatment.cycles(), b.treatment.cycles());

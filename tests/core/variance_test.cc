@@ -1,6 +1,7 @@
 /** @file Tests for the variance (false-confidence) analyzer. */
 #include <gtest/gtest.h>
 
+#include "core/memo.hh"
 #include "core/setup.hh"
 #include "core/variance.hh"
 
@@ -26,6 +27,7 @@ TEST(VarianceAnalyzer, RepeatedMetricDeterministicGivenSeeds)
     ExperimentSpec spec;
     ExperimentRunner runner(spec);
     auto a = runner.repeatedMetric(spec.baseline, ExperimentSetup{}, 4, 9);
+    RunMemo::global().clear(); // b reruns on the reused machines
     auto b = runner.repeatedMetric(spec.baseline, ExperimentSetup{}, 4, 9);
     EXPECT_EQ(a.values(), b.values());
 }

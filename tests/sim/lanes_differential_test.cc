@@ -8,7 +8,10 @@
  * vary exactly what they must not share: ASLR and env-size stack
  * deltas, interrupt and DVFS noise (alone, mixed with quiet lanes),
  * every backend and ablation switch, batch edges (1, 7, 8, 9 and 33
- * lanes around kLaneWidth = 8) and truncating budgets.  A ctest leg
+ * lanes around kLaneWidth = 8) and truncating budgets; the env-size
+ * families the campaign engine batches, on every workload, backend,
+ * ablation variant and a fuzzed corpus; and machines reused across
+ * runs, which must match fresh ones.  A ctest leg
  * reruns the file under MBIAS_SIM_REFERENCE=1, where runLanes must
  * degrade to per-lane reference runs with the same bits.  The last
  * tests pin the benchmark's compatibility wrappers (sim/replay.hh).
@@ -21,6 +24,8 @@
 #include <vector>
 
 #include "isa/builder.hh"
+#include "lang/asm_workload.hh"
+#include "lang/fuzzer.hh"
 #include "sim/machine.hh"
 #include "sim/registry.hh"
 #include "sim/replay.hh"
@@ -195,12 +200,23 @@ TEST(LanesDifferential, WholeSuiteEveryBackend)
     }
 }
 
-TEST(LanesDifferential, EveryAblationSwitch)
+/** An env-size family as the campaign engine batches one: nine loads
+ *  of @p prog (one full batch plus a lane) across the figures' 0..4 KiB
+ *  env grid, starting at @p env_base. */
+std::vector<toolchain::ProcessImage>
+envFamily(const std::shared_ptr<const toolchain::LinkedProgram> &prog,
+          std::uint64_t env_base)
 {
-    // Each ablation flag off (and the prefetcher on) one at a time:
-    // each switch steers a different branch of the lane loops.
-    const auto prog = programFor("sjeng", toolchain::LinkOrder::shuffled(3));
-    const auto images = draws(prog, 3, 0xab1, 2048, 40);
+    return draws(prog, 9, 0, env_base, 455);
+}
+
+/** core2like with each ablation switch flipped (and the prefetcher
+ *  on) one at a time, plus wider store-buffer shapes: each steers a
+ *  different branch of the lane loops.  Every variant keeps the
+ *  preset's name, as the ablation figure's machines do. */
+std::vector<std::pair<std::string, sim::MachineConfig>>
+ablationVariants()
+{
     using Mutator = void (*)(sim::MachineConfig &);
     const std::pair<const char *, Mutator> variants[] = {
         {"noFetchBlocks",
@@ -228,9 +244,20 @@ TEST(LanesDifferential, EveryAblationSwitch)
         {"bigStoreBuffer",
          [](sim::MachineConfig &m) { m.storeBufferEntries = 40; }},
     };
+    std::vector<std::pair<std::string, sim::MachineConfig>> out;
     for (const auto &[label, mutate] : variants) {
         auto mc = sim::MachineConfig::core2Like();
         mutate(mc);
+        out.emplace_back(label, mc);
+    }
+    return out;
+}
+
+TEST(LanesDifferential, EveryAblationSwitch)
+{
+    const auto prog = programFor("sjeng", toolchain::LinkOrder::shuffled(3));
+    const auto images = draws(prog, 3, 0xab1, 2048, 40);
+    for (const auto &[label, mc] : ablationVariants()) {
         expectLanesIdentical(
             mc,
             lanesOf(images,
@@ -238,7 +265,119 @@ TEST(LanesDifferential, EveryAblationSwitch)
                         return l == 2 ? sim::NoiseModel::withSeed(77)
                                       : sim::NoiseModel::none();
                     }),
-            std::string("sjeng ") + label);
+            "sjeng " + label);
+    }
+}
+
+TEST(LanesDifferential, EnvFamiliesEveryWorkloadAndBackend)
+{
+    // The campaign engine's env-size families (Single and BaselineOnly
+    // tasks that differ only in envBytes run as lanes): every workload
+    // on every registered backend, in-order included.
+    const auto &suite = workloads::suite();
+    const auto &backends = sim::MachineRegistry::global().backends();
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const std::string name = suite[i]->name();
+        const auto order = i % 3 == 0
+                               ? toolchain::LinkOrder::asGiven()
+                               : toolchain::LinkOrder::shuffled(0xe4f + i);
+        const auto images =
+            envFamily(programFor(name, order), (131 * i) % 512);
+        for (const auto &backend : backends)
+            expectLanesIdentical(backend.config, quietLanes(images),
+                                 name + " env family on " +
+                                     backend.config.name);
+    }
+}
+
+TEST(LanesDifferential, EnvFamiliesEveryAblationVariant)
+{
+    for (const char *name : {"perl", "mcf"}) {
+        const auto images = envFamily(
+            programFor(name, toolchain::LinkOrder::shuffled(11)), 36);
+        for (const auto &[label, mc] : ablationVariants())
+            expectLanesIdentical(mc, quietLanes(images),
+                                 std::string(name) + " env family, " +
+                                     label);
+    }
+}
+
+TEST(LanesDifferential, EnvFamiliesFuzzedCorpus)
+{
+    // Machine-generated code: stack-heavy kernels with random knobs,
+    // each program's env family on an out-of-order and the in-order
+    // core.
+    lang::FuzzConfig cfg;
+    cfg.seed = 2027;
+    for (unsigned i = 0; i < 16; ++i) {
+        auto w = lang::makeFuzzWorkload(lang::fuzzProgram(cfg, i));
+        toolchain::Compiler cc(toolchain::CompilerVendor::GccLike,
+                               toolchain::OptLevel::O2);
+        const auto prog = std::make_shared<const toolchain::LinkedProgram>(
+            toolchain::Linker().link(cc.compile(w->build({})),
+                                     toolchain::LinkOrder::shuffled(i)));
+        const auto images = envFamily(prog, (977 * i) % 4096);
+        for (const auto &mc : {sim::MachineConfig::core2Like(),
+                               sim::MachineConfig::inorderLike()})
+            expectLanesIdentical(mc, quietLanes(images),
+                                 w->name() + " env family on " + mc.name);
+    }
+}
+
+TEST(LanesDifferential, ReusedMachinesMatchFreshOnes)
+{
+    // A runner keeps one Machine per side and reuses its lane arena:
+    // interleave two machines over different programs, batch widths
+    // and noise, and hold every result to a fresh Machine's.  Stale
+    // cache, TLB, store-buffer or noise state left by an earlier run
+    // — including lanes a narrower batch leaves unused — would show.
+    sim::Machine core2(sim::MachineConfig::core2Like());
+    sim::Machine p4(sim::MachineConfig::p4Like());
+    const auto perl = envFamily(
+        programFor("perl", toolchain::LinkOrder::asGiven()), 0);
+    const auto mcf = envFamily(
+        programFor("mcf", toolchain::LinkOrder::shuffled(4)), 200);
+    const auto perl_lanes = quietLanes(perl);
+    const auto mcf_lanes = quietLanes(mcf);
+    const auto noisy = [](unsigned l) {
+        return l % 2 ? sim::NoiseModel::withSeed(0x5eed + l)
+                     : sim::NoiseModel::none();
+    };
+    const auto fresh = [](const sim::MachineConfig &mc,
+                          const std::vector<Lane> &lanes) {
+        sim::Machine machine(mc);
+        return machine.runLanes(lanes);
+    };
+    struct Step
+    {
+        sim::Machine *machine;
+        std::vector<Lane> lanes;
+    };
+    const std::vector<Step> steps = {
+        {&core2, perl_lanes},
+        {&p4, mcf_lanes},
+        {&core2, {mcf_lanes[3]}},
+        {&core2, lanesOf(mcf, noisy)},
+        {&p4, {perl_lanes[8]}},
+        {&core2, {perl_lanes.begin(), perl_lanes.begin() + 3}},
+        {&p4, lanesOf(perl, noisy)},
+        {&core2, perl_lanes},
+    };
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+        const auto &[machine, lanes] = steps[k];
+        const auto got = machine->runLanes(lanes);
+        const auto want = fresh(machine->config(), lanes);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], want[i])
+                << "step " << k << " (" << machine->config().name
+                << "), lane " << i;
+        // A single run on the reused machine, too.
+        EXPECT_EQ(machine->run(*lanes[0].image,
+                               sim::Machine::kDefaultRunBudget,
+                               lanes[0].noise),
+                  want[0])
+            << "step " << k << " single run";
     }
 }
 

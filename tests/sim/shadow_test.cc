@@ -5,7 +5,8 @@
  * same hit/miss sequence.  ShadowTlb replaces uarch::Tlb's MRU shift
  * with a hash table and recency list, so it is checked on random VPN
  * streams with varied locality, including a 1-entry TLB and streams
- * that thrash it (working set just above capacity).
+ * that thrash it (working set just above capacity).  Both are reused
+ * across runs, so reset() must return each to exactly that state.
  */
 #include <gtest/gtest.h>
 
@@ -119,6 +120,59 @@ TEST(ShadowCache, MatchesUarchCacheOnRandomLines)
             ref.invalidateSet(set);
             shadow.invalidateSet(set);
         }
+    }
+}
+
+TEST(ShadowCache, ResetMatchesAFreshCacheAcrossGenerationWrap)
+{
+    // reset() bumps a 32-bit generation instead of zero-filling; a set
+    // is emptied on its first touch in a new generation.  Run random
+    // streams (with set invalidations) round after round, resetting in
+    // between, starting a few resets short of the wrap — and with sets
+    // stamped in generation 1 long ago, which the wrap's stamp clear
+    // must not let come back to life.  Each round must match a freshly
+    // constructed uarch::Cache access for access.
+    const uarch::CacheConfig cfg{16, 4, 64, 3, 12};
+    sim::ShadowCache shadow(cfg);
+    Rng rng(7);
+    auto round = [&](unsigned n) {
+        uarch::Cache ref(cfg);
+        for (unsigned i = 0; i < n; ++i) {
+            const Addr line = rng.nextBounded(16 * 4 * 3) * 64;
+            ASSERT_EQ(shadow.access(line), ref.accessLine(line))
+                << "generation " << shadow.generation << ", access " << i;
+            if (rng.nextBounded(200) == 0) {
+                const std::uint64_t set = rng.next();
+                ref.invalidateSet(set);
+                shadow.invalidateSet(set);
+            }
+        }
+    };
+    round(5000); // every set stamped with generation 1
+    shadow.generation = ~std::uint32_t(0) - 3;
+    for (unsigned r = 0; r < 8; ++r) {
+        shadow.reset();
+        EXPECT_NE(shadow.generation, 0u);
+        // Three accesses per round up to the wrap leave most sets
+        // stamped 1; the rounds after it touch every set.
+        round(r < 3 ? 3 : 5000);
+    }
+    EXPECT_LT(shadow.generation, 8u) << "the generation must have wrapped";
+}
+
+TEST(ShadowTlb, ResetMatchesAFreshTlb)
+{
+    const uarch::TlbConfig cfg{8, 4096, 30};
+    sim::ShadowTlb shadow(cfg);
+    Rng rng(3);
+    for (unsigned r = 0; r < 4; ++r) {
+        uarch::Tlb ref(cfg);
+        for (unsigned i = 0; i < 3000; ++i) {
+            const std::uint64_t vpn = rng.nextBounded(12);
+            ASSERT_EQ(shadow.touch(vpn), ref.access(vpn << 12, 1) == 0)
+                << "round " << r << ", access " << i;
+        }
+        shadow.reset();
     }
 }
 

@@ -38,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -101,11 +102,35 @@ struct Args
         return it == options.end() ? dflt : it->second;
     }
 
+    /** The integer value of --@p key, at most @p max; a malformed or
+     *  out-of-range value is fatal (pipeline::parseUint). */
     std::uint64_t
-    getInt(const std::string &key, std::uint64_t dflt) const
+    getInt(const std::string &key, std::uint64_t dflt,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+        const
     {
         auto it = options.find(key);
-        return it == options.end() ? dflt : std::stoull(it->second);
+        return it == options.end()
+                   ? dflt
+                   : pipeline::parseUint(("--" + key).c_str(),
+                                         it->second.c_str(), max);
+    }
+
+    /** getInt() for an unsigned destination. */
+    unsigned
+    getUnsigned(const std::string &key, unsigned dflt) const
+    {
+        return unsigned(
+            getInt(key, dflt, std::numeric_limits<unsigned>::max()));
+    }
+
+    /** --@p key as an environment size: at most what the loader can
+     *  place below the stack top. */
+    std::uint64_t
+    getEnvBytes(const std::string &key, std::uint64_t dflt) const
+    {
+        const toolchain::LoaderConfig lc;
+        return getInt(key, dflt, lc.stackTop - lc.argvReserve - 1);
     }
 };
 
@@ -200,7 +225,7 @@ specFromArgs(const Args &args)
     const auto vendor = vendorByName(args.get("vendor", "gcc"));
     spec.withBaseline({vendor, optByName(args.get("baseline", "O2"))})
         .withTreatment({vendor, optByName(args.get("treatment", "O3"))});
-    spec.withScale(unsigned(args.getInt("scale", 1)));
+    spec.withScale(args.getUnsigned("scale", 1));
     return spec;
 }
 
@@ -313,7 +338,7 @@ cmdRun(const Args &args)
                      optByName(args.get("opt", "O2"))};
     core::ExperimentRunner runner(spec);
     core::ExperimentSetup setup;
-    setup.envBytes = args.getInt("env", 0);
+    setup.envBytes = args.getEnvBytes("env", 0);
     if (args.options.count("link-seed"))
         setup.linkOrder =
             toolchain::LinkOrder::shuffled(args.getInt("link-seed", 0));
@@ -342,7 +367,7 @@ cmdBias(const Args &args)
     core::ExperimentSpec spec = specFromArgs(args);
     auto space = spaceByFactor(args.get("factor", "both"));
     core::SetupRandomizer randomizer(space, args.shared.seedOr(42));
-    const unsigned n = unsigned(args.getInt("setups", 31));
+    const unsigned n = args.getUnsigned("setups", 31);
     core::BiasAnalyzer analyzer(0.01, args.shared.confidenceOr(0.95));
     if (const int resamples = args.shared.resamplesOr(0))
         analyzer.withBootstrap(resamples, args.shared.seedOr(42),
@@ -360,11 +385,11 @@ cmdCampaign(const Args &args)
     campaign::CampaignSpec cspec;
     cspec.withExperiment(specFromArgs(args))
         .withSpace(spaceByFactor(args.get("factor", "both")),
-                   unsigned(args.getInt("setups", 31)))
+                   args.getUnsigned("setups", 31))
         .withSeed(args.shared.seedOr(42));
     if (args.options.count("aslr-reps"))
         cspec.withPlan({campaign::RepetitionPlan::Kind::AslrRandomized,
-                        unsigned(args.getInt("aslr-reps", 7))});
+                        args.getUnsigned("aslr-reps", 7)});
 
     campaign::CampaignOptions opts;
     opts.jobs = args.shared.jobs;
@@ -450,7 +475,7 @@ cmdCausal(const Args &args)
 {
     core::ExperimentSpec spec = specFromArgs(args);
     auto space = spaceByFactor(args.get("factor", "env"));
-    auto setups = space.grid(unsigned(args.getInt("setups", 32)));
+    auto setups = space.grid(args.getUnsigned("setups", 32));
     core::CausalAnalyzer analyzer;
     if (args.options.count("explain"))
         analyzer.withMechanismEvidence();
@@ -512,7 +537,7 @@ cmdExplain(const Args &args)
         mbias_fatal("bad --setup '", specs[1], "': ", error);
 
     const auto report = core::explainSetupPair(spec, a, b);
-    std::printf("%s", report.str(unsigned(args.getInt("top", 8))).c_str());
+    std::printf("%s", report.str(args.getUnsigned("top", 8)).c_str());
     std::printf("\n%s", report.heatmaps().c_str());
 
     const std::string json = args.get("json", "");
@@ -536,10 +561,10 @@ cmdVariance(const Args &args)
 {
     core::ExperimentSpec spec = specFromArgs(args);
     core::ExperimentSetup home;
-    home.envBytes = args.getInt("env", 300);
+    home.envBytes = args.getEnvBytes("env", 300);
     auto peers = core::SetupSpace().varyEnvSize().grid(
-        unsigned(args.getInt("setups", 16)));
-    core::VarianceAnalyzer analyzer(unsigned(args.getInt("reps", 15)),
+        args.getUnsigned("setups", 16));
+    core::VarianceAnalyzer analyzer(args.getUnsigned("reps", 15),
                                     0xfeed,
                                     args.shared.confidenceOr(0.95));
     auto report = analyzer.analyze(spec, home, peers);
@@ -563,7 +588,7 @@ cmdProfile(const Args &args)
             : toolchain::LinkOrder::asGiven();
     auto prog = linker.link(objs, order);
     toolchain::LoaderConfig lc;
-    lc.envBytes = args.getInt("env", 0);
+    lc.envBytes = args.getEnvBytes("env", 0);
     auto image = toolchain::Loader::load(std::move(prog), lc);
 
     sim::Machine machine(spec.machine);
@@ -575,7 +600,7 @@ cmdProfile(const Args &args)
                 (unsigned long long)lc.envBytes, order.str().c_str(),
                 spec.machine.name.c_str(),
                 (unsigned long long)rr.cycles());
-    std::printf("%s", profile.str(unsigned(args.getInt("top", 10))).c_str());
+    std::printf("%s", profile.str(args.getUnsigned("top", 10)).c_str());
     return 0;
 }
 
@@ -757,7 +782,7 @@ cmdFuzz(const Args &args)
     // --seed is one of the shared pipeline flags, so it lands in
     // args.shared rather than the subcommand options.
     cfg.seed = args.shared.seedOr(1);
-    cfg.count = unsigned(args.getInt("count", 64));
+    cfg.count = args.getUnsigned("count", 64);
     const std::string out = args.get("out", "");
     if (out.empty()) {
         core::TextTable t({"program", "kernels", "body", "trips",
